@@ -59,8 +59,6 @@ from .planning import (
     write_plan_text,
     write_var_map,
 )
-from .planning.ground import DEFAULT_ACTION_CAP
-from .planning.search import DEFAULT_STATE_CAP
 from .reconcile import (
     GENERAL,
     RESTRICTED,
@@ -68,6 +66,7 @@ from .reconcile import (
     PremiseError,
     ReconcileProblem,
     ReconcileTimeout,
+    VerificationReport,
     parse_explanation_records,
     reconcile,
     serialize_explanation,
@@ -232,19 +231,21 @@ def _explanation_records(
     return out
 
 
-def cmd_reconcile(config: RunConfig) -> tuple[Report, int]:
-    report = _start(config)
-    kb_a = _parse_cnf(config.inputs[0], report, "kb_a")
-    kb_h = _parse_cnf(config.inputs[1], report, "kb_h")
-    query = _parse_query(config.query, report)
-    problem = ReconcileProblem(kb_a, kb_h, query, mode=config.mode)
+def _reconcile_stage(
+    report: Report, problem: ReconcileProblem, timeout: float, names=None
+) -> tuple[int, Explanation | None, VerificationReport | None, list[str]]:
+    """Reconcile, verify against the kept kb_h clauses, and report.
+
+    Returns (exit code, explanation, verification, explanation records);
+    the last three are None/None/[] when reconciliation itself failed.
+    """
     started = time.monotonic()
     try:
-        expl = reconcile(problem, timeout=config.timeout)
+        expl = reconcile(problem, timeout=timeout)
     except PremiseError as exc:
         report.record("error", kind="premise", msg=str(exc))
         report.text(f"premise violation: {exc}")
-        return report, EXIT_PREMISE
+        return EXIT_PREMISE, None, None, []
     except ReconcileTimeout as exc:
         report.record(
             "stat",
@@ -255,28 +256,43 @@ def cmd_reconcile(config: RunConfig) -> tuple[Report, int]:
         report.record("error", kind="timeout", msg=str(exc))
         report.record("time", elapsed=exc.elapsed)
         report.text(f"timeout after {exc.elapsed:.3f}s ({exc.iterations} iterations)")
-        return report, EXIT_TIMEOUT
+        return EXIT_TIMEOUT, None, None, []
     removed = set(expl.removed_from_kb_h)
-    kept = [c for c in kb_h.clauses if c not in removed]
-    verification = verify_explanation(kept, expl.support, query)
-    for line in _explanation_records(expl, verification):
+    kept = [c for c in problem.kb_h.clauses if c not in removed]
+    verification = verify_explanation(kept, expl.support, problem.query)
+    lines = _explanation_records(expl, verification, names)
+    for line in lines:
         report.raw_record(line)
     report.record("time", elapsed=time.monotonic() - started)
+
+    def show(clause: Clause) -> str:
+        return _lits(clause) if names is None else " ∨ ".join(map(names, clause))
+
     report.text(
         f"support size {len(expl.support)}, update size {len(expl.update)}, "
         f"removed {len(expl.removed_from_kb_h)} clause(s) from kb_h"
     )
     for clause in expl.update:
-        report.text(f"  add to kb_h: {_lits(clause)}")
+        report.text(f"  add to kb_h: {show(clause)}")
     for clause in expl.removed_from_kb_h:
-        report.text(f"  remove from kb_h: {_lits(clause)}")
+        report.text(f"  remove from kb_h: {show(clause)}")
     report.text(f"verification: {'ok' if verification.ok else 'FAILED'}")
-    if config.out:
-        _write_out(config.out, "\n".join(_explanation_records(expl, verification)) + "\n")
     if not verification.ok:
         report.record("error", kind="verify", msg=";".join(verification.failures))
-        return report, EXIT_VERIFY
-    return report, EXIT_OK
+        return EXIT_VERIFY, expl, verification, lines
+    return EXIT_OK, expl, verification, lines
+
+
+def cmd_reconcile(config: RunConfig) -> tuple[Report, int]:
+    report = _start(config)
+    kb_a = _parse_cnf(config.inputs[0], report, "kb_a")
+    kb_h = _parse_cnf(config.inputs[1], report, "kb_h")
+    query = _parse_query(config.query, report)
+    problem = ReconcileProblem(kb_a, kb_h, query, mode=config.mode)
+    code, expl, _verification, lines = _reconcile_stage(report, problem, config.timeout)
+    if expl is not None and config.out:
+        _write_out(config.out, "\n".join(lines) + "\n")
+    return report, code
 
 
 def cmd_verify(config: RunConfig) -> tuple[Report, int]:
@@ -509,7 +525,7 @@ class ExplainPlanResult:
     report: Report
     exit_code: int
     explanation: Explanation | None = None
-    verification: object = None
+    verification: VerificationReport | None = None
     problem: ReconcileProblem | None = None
     encoding: BoundedEncoding | None = None
     plan: tuple = ()
@@ -593,52 +609,13 @@ def run_explain_plan(config: RunConfig, plan_text: str | None = None) -> Explain
     kb_a = enc_a.cnf.extended(oq.definitions)
     kb_h = kb_h_cnf.extended(oq.definitions)
     rec_problem = ReconcileProblem(kb_a, kb_h, oq.query, mode=config.mode)
-    started = time.monotonic()
-    try:
-        expl = reconcile(rec_problem, timeout=config.timeout)
-    except PremiseError as exc:
-        report.record("error", kind="premise", msg=str(exc))
-        report.text(f"premise violation: {exc}")
-        return ExplainPlanResult(report, EXIT_PREMISE, problem=rec_problem,
-                                 encoding=enc_a, plan=plan)
-    except ReconcileTimeout as exc:
-        report.record("stat", iterations=exc.iterations, mcs_count=exc.mcs_count,
-                      oracle_calls=exc.oracle_calls)
-        report.record("error", kind="timeout", msg=str(exc))
-        report.record("time", elapsed=exc.elapsed)
-        report.text(f"timeout after {exc.elapsed:.3f}s")
-        return ExplainPlanResult(report, EXIT_TIMEOUT, problem=rec_problem,
-                                 encoding=enc_a, plan=plan)
-    removed = set(expl.removed_from_kb_h)
-    kept = [c for c in kb_h.clauses if c not in removed]
-    verification = verify_explanation(kept, expl.support, oq.query)
-    expl_lines = _explanation_records(expl, verification, names=name_of)
-    for line in expl_lines:
-        report.raw_record(line)
-    report.record("time", elapsed=time.monotonic() - started)
-    report.text(
-        f"support size {len(expl.support)}, update size {len(expl.update)}, "
-        f"removed {len(expl.removed_from_kb_h)} clause(s)"
+    code, expl, verification, expl_lines = _reconcile_stage(
+        report, rec_problem, config.timeout, names=name_of
     )
-    for clause in expl.update:
-        report.text("  add to kb_h: " + " ∨ ".join(name_of(l) for l in clause))
-    for clause in expl.removed_from_kb_h:
-        report.text("  remove from kb_h: " + " ∨ ".join(name_of(l) for l in clause))
-    report.text(f"verification: {'ok' if verification.ok else 'FAILED'}")
-
-    result = ExplainPlanResult(
-        report,
-        EXIT_OK if verification.ok else EXIT_VERIFY,
-        explanation=expl,
-        problem=rec_problem,
-        encoding=enc_a,
-        plan=plan,
-        repair=feas.missing_clauses,
-    )
-    result.verification = verification
-    if not verification.ok:
-        report.record("error", kind="verify", msg=";".join(verification.failures))
-    if config.out:
+    result = ExplainPlanResult(report, code, explanation=expl,
+                               verification=verification, problem=rec_problem,
+                               encoding=enc_a, plan=plan, repair=feas.missing_clauses)
+    if expl is not None and config.out:
         outdir = Path(config.out)
         provenance = [r for r in report.records if not r.startswith("time ")]
         _write_kb(str(outdir / "kb_a.cnf"), kb_a, provenance)

@@ -37,10 +37,6 @@ class NotUnsatisfiableError(MinimalSetError):
     """hard ∪ soft is satisfiable: there is no unsatisfiable core to shrink."""
 
 
-class EnumerationLimitError(MinimalSetError):
-    """Instance too large for exhaustive subset enumeration."""
-
-
 @dataclass(frozen=True)
 class McsResult:
     ids: frozenset[int]
@@ -196,127 +192,3 @@ def _audit_mus(ws: SoftSolver, mus: frozenset[int]) -> None:
         assert ws.solve_ids(mus - {i}).satisfiable, (
             f"MUS not minimal: clause {i} is removable"
         )
-
-
-class SubsetEnumeration(list):
-    """List of results plus a completeness flag (False once capped)."""
-
-    complete: bool = True
-
-
-_TT_MAX_VARS = 16
-_SCAN_MAX_SOFT = 16
-
-
-def _subset_sat(
-    soft: Sequence[Clause], hard: Sequence[Clause], num_vars: int
-) -> list[bool]:
-    """Satisfiability of hard ∪ subset for every soft subset (by bitmask)."""
-    k = len(soft)
-    if num_vars <= _TT_MAX_VARS and (1 << num_vars) * (1 << k) <= 1 << 28:
-        full = (1 << (1 << num_vars)) - 1
-        base = full
-        for c in hard:
-            base &= _clause_assignments(c, num_vars)
-        masks = [_clause_assignments(c, num_vars) for c in soft]
-        table = [0] * (1 << k)
-        table[0] = base
-        for m in range(1, 1 << k):
-            low = m & -m
-            table[m] = table[m ^ low] & masks[low.bit_length() - 1]
-        return [t != 0 for t in table]
-    if k > _SCAN_MAX_SOFT:
-        raise EnumerationLimitError(
-            f"{k} soft clauses over {num_vars} variables exceeds exhaustive enumeration limits"
-        )
-    ws = SoftSolver(soft, hard, num_vars)
-    out = []
-    for m in range(1 << k):
-        ids = [i for i in range(k) if m >> i & 1]
-        out.append(ws.solve_ids(ids).satisfiable)
-    return out
-
-
-def _clause_assignments(clause: Clause, num_vars: int) -> int:
-    full = (1 << (1 << num_vars)) - 1
-    mask = 0
-    for lit in clause:
-        v = lit if lit > 0 else -lit
-        # bit a is set iff assignment a (bit v-1 of a = value of var v) makes v true
-        pattern = 0
-        step = 1 << (v - 1)
-        a = step
-        while a < (1 << num_vars):
-            pattern |= ((1 << step) - 1) << a
-            a += 2 * step
-        mask |= pattern if lit > 0 else full ^ pattern
-    return mask
-
-
-def enumerate_all_mcses(
-    soft: Sequence[Clause],
-    hard: Iterable[Clause] = (),
-    cap: int | None = None,
-    *,
-    num_vars: int | None = None,
-) -> SubsetEnumeration:
-    """All MCSes by subset scan, in (size, ids) order; capped when asked."""
-    soft = [tuple(c) for c in soft]
-    hard = [tuple(c) for c in hard]
-    nv = num_vars if num_vars is not None else _max_var(soft, hard)
-    sat = _subset_sat(soft, hard, nv)
-    k = len(soft)
-    full = (1 << k) - 1
-    found: list[frozenset[int]] = []
-    for m in range(1 << k):
-        if not sat[full ^ m]:
-            continue
-        bits = [b for b in range(k) if m >> b & 1]
-        if all(not sat[(full ^ m) | (1 << b)] for b in bits):
-            found.append(frozenset(bits))
-    return _package(found, McsResult, cap)
-
-
-def enumerate_all_muses(
-    soft: Sequence[Clause],
-    hard: Iterable[Clause] = (),
-    cap: int | None = None,
-    *,
-    num_vars: int | None = None,
-) -> SubsetEnumeration:
-    """All MUSes by subset scan, in (size, ids) order; capped when asked."""
-    soft = [tuple(c) for c in soft]
-    hard = [tuple(c) for c in hard]
-    nv = num_vars if num_vars is not None else _max_var(soft, hard)
-    sat = _subset_sat(soft, hard, nv)
-    k = len(soft)
-    found: list[frozenset[int]] = []
-    for m in range(1 << k):
-        if sat[m]:
-            continue
-        bits = [b for b in range(k) if m >> b & 1]
-        if all(sat[m ^ (1 << b)] for b in bits):
-            found.append(frozenset(bits))
-    return _package(found, MusResult, cap)
-
-
-def _max_var(soft: Sequence[Clause], hard: Sequence[Clause]) -> int:
-    nv = 0
-    for c in list(soft) + list(hard):
-        for l in c:
-            v = l if l > 0 else -l
-            if v > nv:
-                nv = v
-    return nv
-
-
-def _package(found: list[frozenset[int]], wrap, cap: int | None) -> SubsetEnumeration:
-    found.sort(key=lambda s: (len(s), sorted(s)))
-    out = SubsetEnumeration()
-    out.complete = True
-    for ids in found:
-        if cap is not None and len(out) >= cap:
-            out.complete = False
-            break
-        out.append(wrap(ids))
-    return out

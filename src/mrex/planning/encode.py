@@ -58,12 +58,6 @@ class BoundedEncoding:
             self._rev = rev
         return rev.get(var, f"aux{var}")
 
-    def literal_name(self, lit: int) -> str:
-        return ("-" if lit < 0 else "") + self.name_of(abs(lit))
-
-    def clause_names(self, clause: Clause) -> str:
-        return ",".join(self.literal_name(l) for l in clause)
-
 
 def encode_bounded(
     problem: PlanningProblem,

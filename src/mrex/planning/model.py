@@ -113,12 +113,6 @@ class PlanningProblem:
             universe |= a.atoms()
         return cls(tuple(sorted(universe)), actions, init, goal)
 
-    def action_by_label(self, label: str) -> GroundAction:
-        for a in self.actions:
-            if a.label == label:
-                return a
-        raise PlanningError(f"unknown action {label!r}")
-
     def replace_actions(self, actions: Iterable[GroundAction]) -> "PlanningProblem":
         """Same universe/init/goal with a different action set."""
         return PlanningProblem(

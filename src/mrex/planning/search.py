@@ -61,25 +61,3 @@ def optimal_plan_search(
                 raise StateCapError(f"state space exceeds the cap ({cap})")
             queue.append((nxt, plan + (action,)))
     raise GoalUnreachableError("goal is unreachable from the initial state")
-
-
-def bfs_layers(problem: PlanningProblem, max_depth: int, cap: int = DEFAULT_STATE_CAP):
-    """States first reached at each depth 0..max_depth (for cross-checks)."""
-    start = frozenset(problem.init)
-    layers = [[start]]
-    visited = {start}
-    for _depth in range(max_depth):
-        nxt_layer = []
-        for state in layers[-1]:
-            for action in problem.actions:
-                if not action.pre <= state:
-                    continue
-                nxt = apply_action(state, action)
-                if nxt in visited:
-                    continue
-                visited.add(nxt)
-                if len(visited) > cap:
-                    raise StateCapError(f"state space exceeds the cap ({cap})")
-                nxt_layer.append(nxt)
-        layers.append(nxt_layer)
-    return layers

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .formula import Clause, CnfFormula, negate_query, intersect_kbs
@@ -146,6 +145,27 @@ def reconcile(problem: ReconcileProblem, *, timeout: float | None = None) -> Exp
     """
     if problem.mode not in (GENERAL, RESTRICTED):
         raise ReconcileError(f"unknown mode {problem.mode!r}")
+    return _search(problem, timeout, trim=True)
+
+
+def smallest_support(kb: CnfFormula, query: CnfFormula, *,
+                     timeout: float | None = None) -> Explanation:
+    """Cardinality-minimal subset of kb entailing the query (single KB).
+
+    The reconcile loop with an empty kb_h: the whole kb is the candidate
+    set, and the first seed that closes the entailment gap is itself the
+    support.
+    """
+    return _search(ReconcileProblem(kb, CnfFormula.from_clauses(()), query),
+                   timeout, trim=False)
+
+
+def _search(problem: ReconcileProblem, timeout: float | None, *,
+            trim: bool) -> Explanation:
+    """Premise check, consistency repair, then the hitting-set loop: take a
+    minimum hitting set of the MCSes found so far as the seed and stop at
+    the first seed whose candidate clauses, with the context, entail the
+    query.  With trim, a MUS pass adds the context clauses the seed needs."""
     started = time.monotonic()
     deadline = _Deadline(timeout)
     kb_a, kb_h, query = problem.kb_a, problem.kb_h, problem.query
@@ -154,7 +174,6 @@ def reconcile(problem: ReconcileProblem, *, timeout: float | None = None) -> Exp
     total_vars = env + len(neg.aux_vars)
 
     oracle_calls = 0
-    iterations = 0
     instance = HittingSetInstance()
     ws = mus_ws = None
     try:
@@ -171,164 +190,58 @@ def reconcile(problem: ReconcileProblem, *, timeout: float | None = None) -> Exp
         ws = SoftSolver(candidates, hard=context + list(neg.clauses), num_vars=total_vars)
         while True:
             deadline.check()
-            iterations += 1
             seed = min_hitting_set(instance, cancel=deadline.check)
             res = ws.solve_ids(seed)
-            if res.satisfiable:
-                mcs = extract_mcs(ws, seed=seed, first_result=res, cancel=deadline.check)
-                instance.add_set(mcs.ids)
-                continue
-            epsilon = [candidates[i] for i in sorted(seed)]
+            if not res.satisfiable:
+                break
+            mcs = extract_mcs(ws, seed=seed, first_result=res, cancel=deadline.check)
+            instance.add_set(mcs.ids)
+        epsilon = [candidates[i] for i in sorted(seed)]
+        if trim:
             mus_ws = SoftSolver(
                 context, hard=epsilon + list(neg.clauses), num_vars=total_vars
             )
             mus = extract_mus(mus_ws, cancel=deadline.check)
-            oracle_calls += ws.oracle_calls + mus_ws.oracle_calls
+            oracle_calls += mus_ws.oracle_calls
             support = tuple(sorted(set(epsilon) | {context[i] for i in mus.ids}))
             in_h = kb_h.clause_set()
             update = tuple(sorted(c for c in support if c not in in_h))
-            consistency_ok = None
-            if problem.mode == RESTRICTED:
-                check = SatSession(total_vars)
-                for c in kept_h:
+        else:
+            support, update = tuple(sorted(epsilon)), ()
+        oracle_calls += ws.oracle_calls
+        consistency_ok = None
+        if problem.mode == RESTRICTED:
+            check = SatSession(total_vars)
+            for c in kept_h:
+                check.add_hard(c)
+            in_kept = set(kept_h)
+            for c in support:
+                if c not in in_kept:
                     check.add_hard(c)
-                for c in support:
-                    if c not in set(kept_h):
-                        check.add_hard(c)
-                consistency_ok = check.solve().satisfiable
-                oracle_calls += check.solve_count
-            return Explanation(
-                support=support,
-                update=update,
-                removed_from_kb_h=tuple(removed),
-                iterations=iterations,
-                mcs_count=len(instance),
-                oracle_calls=oracle_calls,
-                elapsed=time.monotonic() - started,
-                mode=problem.mode,
-                restricted_consistency_ok=consistency_ok,
-            )
+            consistency_ok = check.solve().satisfiable
+            oracle_calls += check.solve_count
+        return Explanation(
+            support=support,
+            update=update,
+            removed_from_kb_h=tuple(removed),
+            iterations=len(instance) + 1,
+            mcs_count=len(instance),
+            oracle_calls=oracle_calls,
+            elapsed=time.monotonic() - started,
+            mode=problem.mode,
+            restricted_consistency_ok=consistency_ok,
+        )
     except _Expired:
         for session in (ws, mus_ws):
             if session is not None:
                 oracle_calls += session.oracle_calls
         raise ReconcileTimeout(
             f"reconciliation exceeded {timeout} seconds",
-            iterations=iterations,
+            iterations=len(instance),
             mcs_count=len(instance),
             oracle_calls=oracle_calls,
             elapsed=time.monotonic() - started,
         ) from None
-
-
-def smallest_support(kb: CnfFormula, query: CnfFormula, *,
-                     timeout: float | None = None) -> Explanation:
-    """Cardinality-minimal subset of kb entailing the query (single KB).
-
-    Same hitting-set loop as reconcile with the whole kb as candidate
-    clauses; the returned seed itself is the support.
-    """
-    started = time.monotonic()
-    deadline = _Deadline(timeout)
-    env = _env_vars(kb, query)
-    neg = negate_query(query, env + 1)
-    total_vars = env + len(neg.aux_vars)
-    oracle_calls = _check_premises(kb, query, neg.clauses, total_vars)
-
-    candidates = list(kb.clauses)
-    ws = SoftSolver(candidates, hard=list(neg.clauses), num_vars=total_vars)
-    instance = HittingSetInstance()
-    iterations = 0
-    try:
-        while True:
-            deadline.check()
-            iterations += 1
-            seed = min_hitting_set(instance, cancel=deadline.check)
-            res = ws.solve_ids(seed)
-            if res.satisfiable:
-                mcs = extract_mcs(ws, seed=seed, first_result=res, cancel=deadline.check)
-                instance.add_set(mcs.ids)
-                continue
-            support = tuple(sorted(candidates[i] for i in seed))
-            return Explanation(
-                support=support,
-                update=(),
-                removed_from_kb_h=(),
-                iterations=iterations,
-                mcs_count=len(instance),
-                oracle_calls=oracle_calls + ws.oracle_calls,
-                elapsed=time.monotonic() - started,
-            )
-    except _Expired:
-        raise ReconcileTimeout(
-            f"support search exceeded {timeout} seconds",
-            iterations=iterations,
-            mcs_count=len(instance),
-            oracle_calls=oracle_calls + ws.oracle_calls,
-            elapsed=time.monotonic() - started,
-        ) from None
-
-
-_TT_LIMIT_VARS = 20
-
-
-def brute_force_min_update(
-    problem: ReconcileProblem, *, max_candidates: int = 14
-) -> tuple[int, tuple[Clause, ...]]:
-    """Independent oracle: smallest update by exhaustive subset sweep.
-
-    Enumerates subsets of kb_a \\ kb_h in ascending cardinality (id-ordered
-    within each size) and returns the first whose union with the mode's
-    context entails the query.  Satisfiability is decided by truth-table
-    bitmasks when the variable envelope allows, otherwise by fresh selector
-    sessions; neither path shares state with reconcile's search.
-    """
-    kb_a, kb_h, query = problem.kb_a, problem.kb_h, problem.query
-    env = _env_vars(kb_a, kb_h, query)
-    hard_ids, soft_ids = intersect_kbs(kb_a, kb_h)
-    candidates = [kb_a.clauses[i] for i in sorted(soft_ids)]
-    if len(candidates) > max_candidates:
-        raise ReconcileError(
-            f"{len(candidates)} candidate clauses exceed the exhaustive sweep limit"
-        )
-    kept_h, _removed, _ = preprocess_consistency(kb_a, kb_h, env)
-    if problem.mode == RESTRICTED:
-        context = [kb_a.clauses[i] for i in sorted(hard_ids)]
-    else:
-        context = list(kept_h)
-
-    if env <= _TT_LIMIT_VARS:
-        from .minsets import _clause_assignments
-
-        full = (1 << (1 << env)) - 1
-        ctx_mask = full
-        for c in context:
-            ctx_mask &= _clause_assignments(c, env)
-        query_mask = full
-        for c in query.clauses:
-            query_mask &= _clause_assignments(c, env)
-        cand_masks = [_clause_assignments(c, env) for c in candidates]
-
-        def entails(subset: tuple[int, ...]) -> bool:
-            m = ctx_mask
-            for i in subset:
-                m &= cand_masks[i]
-            return m & ~query_mask == 0
-
-    else:
-        neg = negate_query(query, env + 1)
-        ws = SoftSolver(candidates, hard=context + list(neg.clauses),
-                        num_vars=env + len(neg.aux_vars))
-
-        def entails(subset: tuple[int, ...]) -> bool:
-            return not ws.solve_ids(subset).satisfiable
-
-    ids = range(len(candidates))
-    for size in range(len(candidates) + 1):
-        for subset in combinations(ids, size):
-            if entails(subset):
-                return size, tuple(candidates[i] for i in subset)
-    raise PremiseError("no candidate subset closes the entailment gap")
 
 
 def verify_explanation(

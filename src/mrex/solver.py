@@ -432,7 +432,3 @@ class SatSession:
             v = a if a > 0 else -a
             if model[v] != (a > 0):
                 raise AssertionError(f"model violates assumption {a}")
-
-
-def new_session(num_vars: int = 0) -> SatSession:
-    return SatSession(num_vars)

@@ -5,6 +5,11 @@ encoded as bitmasks (assignment index bit v-1 holds variable v), completely
 independent of the package's CDCL search, linear MCS scans, and deletion MUS
 loops.  Practical only for small variable counts, which is what the
 randomized test families use.
+
+The one exception is brute_force_min_update: it takes the package's
+consistency repair as given, and above 20 variables it falls back to the
+package's SAT solver.  It imports mrex inside the function, so importing
+this module stays solver-free.
 """
 
 from __future__ import annotations
@@ -114,6 +119,68 @@ def tt_min_update_size(
             if tt_entails(chosen, query, num_vars):
                 return size
     return None
+
+
+_TT_LIMIT_VARS = 20
+
+
+def brute_force_min_update(problem, *, max_candidates: int = 14):
+    """Smallest update of a ReconcileProblem by exhaustive subset sweep.
+
+    Enumerates subsets of kb_a \\ kb_h in ascending cardinality (id-ordered
+    within each size) and returns (size, clauses) for the first whose union
+    with the mode's context entails the query.  Satisfiability is decided by
+    truth-table bitmasks up to 20 variables, otherwise by fresh selector
+    sessions; neither path shares state with reconcile's search.
+    """
+    from mrex.formula import intersect_kbs, negate_query
+    from mrex.minsets import SoftSolver
+    from mrex.reconcile import (
+        RESTRICTED,
+        PremiseError,
+        ReconcileError,
+        preprocess_consistency,
+    )
+
+    kb_a, kb_h, query = problem.kb_a, problem.kb_h, problem.query
+    env = max(kb_a.num_vars, kb_h.num_vars, query.num_vars)
+    hard_ids, soft_ids = intersect_kbs(kb_a, kb_h)
+    candidates = [kb_a.clauses[i] for i in sorted(soft_ids)]
+    if len(candidates) > max_candidates:
+        raise ReconcileError(
+            f"{len(candidates)} candidate clauses exceed the exhaustive sweep limit"
+        )
+    kept_h, _removed, _ = preprocess_consistency(kb_a, kb_h, env)
+    if problem.mode == RESTRICTED:
+        context = [kb_a.clauses[i] for i in sorted(hard_ids)]
+    else:
+        context = list(kept_h)
+
+    if env <= _TT_LIMIT_VARS:
+        ctx_mask = formula_mask(context, env)
+        query_mask = formula_mask(query.clauses, env)
+        cand_masks = [clause_mask(c, env) for c in candidates]
+
+        def entails(subset: tuple[int, ...]) -> bool:
+            m = ctx_mask
+            for i in subset:
+                m &= cand_masks[i]
+            return m & ~query_mask == 0
+
+    else:
+        neg = negate_query(query, env + 1)
+        ws = SoftSolver(candidates, hard=context + list(neg.clauses),
+                        num_vars=env + len(neg.aux_vars))
+
+        def entails(subset: tuple[int, ...]) -> bool:
+            return not ws.solve_ids(subset).satisfiable
+
+    ids = range(len(candidates))
+    for size in range(len(candidates) + 1):
+        for subset in combinations(ids, size):
+            if entails(subset):
+                return size, tuple(candidates[i] for i in subset)
+    raise PremiseError("no candidate subset closes the entailment gap")
 
 
 def subset_sat_table(

@@ -17,21 +17,18 @@ import pytest
 import mrex.minsets as minsets
 import mrex.solver as solver
 from mrex.backbone import compute_backbone
-from mrex.cli import main, tweak_cnf
+from mrex.cli import RunConfig, main, run_explain_plan, tweak_cnf
 from mrex.formula import CnfFormula, negate_query
 from mrex.planning import (
-    check_feasibility,
     encode_bounded,
     ground,
     optimal_plan_search,
     optimality_query,
     parse_pddl,
-    tweak_model,
 )
 from mrex.reconcile import (
     RESTRICTED,
     ReconcileProblem,
-    brute_force_min_update,
     reconcile,
     serialize_explanation,
     smallest_support,
@@ -41,6 +38,7 @@ from mrex.solver import SatSession
 
 from oracles import (
     all_minimal_hitting_sets,
+    brute_force_min_update,
     random_cnf,
     random_reconcile_instance,
     random_unsat_soft,
@@ -53,10 +51,10 @@ from oracles import (
 )
 
 DATA = Path(__file__).parent / "data"
-BLOCKS = (DATA / "blocksworld.pddl").read_text()
-SUSSMAN = (DATA / "sussman.pddl").read_text()
-CHAIN_DOMAIN = (DATA / "chain-domain.pddl").read_text()
-CHAIN_PROBLEM = (DATA / "chain-problem.pddl").read_text()
+BLOCKS = DATA / "blocksworld.pddl"
+SUSSMAN = DATA / "sussman.pddl"
+CHAIN_DOMAIN = DATA / "chain-domain.pddl"
+CHAIN_PROBLEM = DATA / "chain-problem.pddl"
 
 SCENARIO_SEED = 1
 _scenario_record_cache: dict[tuple[str, int], list[str]] = {}
@@ -136,33 +134,16 @@ def _stable(lines: list[str]) -> list[str]:
     return [l for l in lines if not l.startswith("time ")]
 
 
-def _explain_plan_records(scenario: int, seed: int, domain: str, problem: str,
+def _explain_plan_records(scenario: int, seed: int, domain: Path, problem: Path,
                           timeout: float = 280.0):
-    """The explain-plan pipeline on in-memory inputs, mirroring the CLI
-    stage order, returning serialized records plus the solved problem."""
-    problem_model = ground(parse_pddl(domain, problem))
-    plan = optimal_plan_search(problem_model)
-    n = len(plan)
-    enc_a = encode_bounded(problem_model, n, include_goal=False)
-    tweaked = tweak_model(problem_model, scenario, seed)
-    enc_h = encode_bounded(
-        tweaked.problem, n, include_goal=False,
-        fluent_order=enc_a.fluent_order, action_order=enc_a.action_order,
-    )
-    feas = check_feasibility(enc_h, plan, reference=enc_a)
-    kb_h = enc_h.cnf
-    if feas.missing_clauses:
-        kb_h = kb_h.extended(feas.missing_clauses)
-    oq = optimality_query(enc_a)
-    kb_a = enc_a.cnf.extended(oq.definitions)
-    kb_h = kb_h.extended(oq.definitions)
-    rp = ReconcileProblem(kb_a, kb_h, oq.query, mode=RESTRICTED)
-    expl = reconcile(rp, timeout=timeout)
-    removed = set(expl.removed_from_kb_h)
-    kept = [c for c in kb_h.clauses if c not in removed]
-    verification = verify_explanation(kept, expl.support, oq.query)
-    records = serialize_explanation(expl, verification).splitlines()
-    return records, expl, verification, rp
+    """The CLI's explain-plan pipeline, in process and in restricted mode,
+    returning the run's records plus the solved problem."""
+    config = RunConfig(command="explain-plan", inputs=(str(domain), str(problem)),
+                       mode=RESTRICTED, seed=seed, timeout=timeout,
+                       scenario=scenario)
+    result = run_explain_plan(config)
+    assert result.explanation is not None, result.report.records
+    return result.report.records, result.explanation, result.verification, result.problem
 
 
 class TestAcceptance:
@@ -279,7 +260,7 @@ class TestAcceptance:
         """3-block Blocksworld: search/SAT agreement, optimality premise,
         and verified explanations for Scenarios 1, 2, 5, 8."""
         with criterion(7, budget=300.0), production_flags():
-            problem = ground(parse_pddl(BLOCKS, SUSSMAN))
+            problem = ground(parse_pddl(BLOCKS.read_text(), SUSSMAN.read_text()))
             plan = optimal_plan_search(problem)
             n = len(plan)
             assert n == 6
@@ -329,7 +310,7 @@ class TestAcceptance:
         """Scenario 9 on a ~1000-clause encoding with a 5-literal backbone
         query: reconcile finishes inside the 1500 s limit and verifies."""
         with criterion(8), production_flags():
-            problem = ground(parse_pddl(BLOCKS, SUSSMAN))
+            problem = ground(parse_pddl(BLOCKS.read_text(), SUSSMAN.read_text()))
             enc = encode_bounded(problem, 3, include_goal=False)
             kb_a = enc.cnf
             assert 900 <= len(kb_a.clauses) <= 1100

@@ -11,8 +11,6 @@ from mrex.minsets import (
     NotUnsatisfiableError,
     SeedInconsistentError,
     SoftSolver,
-    enumerate_all_mcses,
-    enumerate_all_muses,
     extract_mcs,
     extract_mus,
 )
@@ -65,9 +63,7 @@ def test_mus_requires_unsat():
 
 def test_enumerate_worked_base_mcses():
     hard = [(-3,), (5,), (-1,)]
-    got = enumerate_all_mcses(BASE, hard, num_vars=5)
-    assert got.complete
-    assert {r.ids for r in got} == {
+    assert tt_all_mcses(BASE, hard, 5) == {
         frozenset({0}),
         frozenset({1, 3}),
         frozenset({1, 4}),
@@ -76,25 +72,7 @@ def test_enumerate_worked_base_mcses():
 
 def test_enumerate_worked_base_muses():
     hard = [(-3,), (5,), (-1,)]
-    got = enumerate_all_muses(BASE, hard, num_vars=5)
-    assert got.complete
-    assert {r.ids for r in got} == {frozenset({0, 1}), frozenset({0, 3, 4})}
-
-
-def test_enumeration_cap_flags_incomplete():
-    hard = [(-3,), (5,), (-1,)]
-    got = enumerate_all_mcses(BASE, hard, cap=2, num_vars=5)
-    assert not got.complete
-    assert len(got) == 2
-    # canonical order: smaller sets first
-    assert got[0].ids == {0}
-
-
-def test_enumeration_results_are_sorted_canonically():
-    hard = [(-3,), (5,), (-1,)]
-    got = enumerate_all_mcses(BASE, hard, num_vars=5)
-    keys = [(len(r.ids), sorted(r.ids)) for r in got]
-    assert keys == sorted(keys)
+    assert tt_all_muses(BASE, hard, 5) == {frozenset({0, 1}), frozenset({0, 3, 4})}
 
 
 def test_extracted_mcs_is_among_enumerated_random():
@@ -104,7 +82,7 @@ def test_extracted_mcs_is_among_enumerated_random():
         soft, hard = random_unsat_soft(rng, n, rng.randint(n + 2, n + 5), rng.randint(0, 2))
         if not tt_satisfiable(hard, n):
             continue
-        all_mcs = {r.ids for r in enumerate_all_mcses(soft, hard, num_vars=n)}
+        all_mcs = tt_all_mcses(soft, hard, n)
         got = extract_mcs(soft, hard, num_vars=n)
         assert got.ids in all_mcs
 
@@ -116,32 +94,9 @@ def test_extracted_mus_is_among_enumerated_random():
         soft, hard = random_unsat_soft(rng, n, rng.randint(n + 2, n + 5), rng.randint(0, 2))
         if not tt_satisfiable(hard, n):
             continue
-        all_mus = {r.ids for r in enumerate_all_muses(soft, hard, num_vars=n)}
+        all_mus = tt_all_muses(soft, hard, n)
         got = extract_mus(soft, hard, num_vars=n)
         assert got.ids in all_mus
-
-
-def test_enumerators_match_truth_table_oracle_random():
-    rng = random.Random(13)
-    for _ in range(50):
-        n = rng.randint(2, 5)
-        soft, hard = random_unsat_soft(rng, n, rng.randint(n + 2, n + 4), rng.randint(0, 2))
-        got_mcs = {r.ids for r in enumerate_all_mcses(soft, hard, num_vars=n)}
-        got_mus = {r.ids for r in enumerate_all_muses(soft, hard, num_vars=n)}
-        assert got_mcs == tt_all_mcses(soft, hard, n)
-        assert got_mus == tt_all_muses(soft, hard, n)
-
-
-def test_session_scan_path_matches_truth_table_path():
-    # variables beyond the truth-table limit force the selector-session scan
-    rng = random.Random(14)
-    soft, hard = random_unsat_soft(rng, 6, 6, 1)
-    wide = 40
-    lift = [tuple(l + (wide if l > 0 else -wide) for l in c) for c in soft]
-    lift_hard = [tuple(l + (wide if l > 0 else -wide) for l in c) for c in hard]
-    a = {r.ids for r in enumerate_all_mcses(soft, hard, num_vars=6)}
-    b = {r.ids for r in enumerate_all_mcses(lift, lift_hard, num_vars=wide + 6)}
-    assert a == b
 
 
 def test_shared_workspace_reuse():

@@ -5,13 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from mrex.cli import RunConfig, run_explain_plan
 from mrex.formula import CnfFormula
 from mrex.reconcile import (
     RESTRICTED,
     ReconcileProblem,
-    brute_force_min_update,
     reconcile,
-    verify_explanation,
 )
 from mrex.solver import SatSession
 from mrex.planning import (
@@ -37,6 +36,8 @@ from mrex.planning import (
     write_var_map,
 )
 from mrex.planning.ground import objects_of_type
+
+from oracles import brute_force_min_update
 
 DATA = Path(__file__).parent / "data"
 BLOCKS = (DATA / "blocksworld.pddl").read_text()
@@ -486,51 +487,41 @@ class TestTweaks:
 
 
 class TestEndToEnd:
-    """Library-level pipeline on the two-action chain problem."""
+    """The CLI's explain-plan pipeline, in process, on the two-action chain
+    problem."""
 
     def _pipeline(self, scenario: int, seed: int):
-        problem = ground(parse_pddl(CHAIN_DOMAIN, CHAIN_PROBLEM))
-        plan = optimal_plan_search(problem)
-        n = len(plan)
-        enc_a = encode_bounded(problem, n, include_goal=False)
-        tweaked = tweak_model(problem, scenario, seed)
-        enc_h = encode_bounded(
-            tweaked.problem, n, include_goal=False,
-            fluent_order=enc_a.fluent_order, action_order=enc_a.action_order,
+        config = RunConfig(
+            command="explain-plan",
+            inputs=(str(DATA / "chain-domain.pddl"), str(DATA / "chain-problem.pddl")),
+            mode=RESTRICTED, seed=seed, scenario=scenario,
         )
-        feas = check_feasibility(enc_h, plan, reference=enc_a)
-        kb_h = enc_h.cnf
-        if not feas.feasible and feas.missing_clauses:
-            kb_h = kb_h.extended(feas.missing_clauses)
-        oq = optimality_query(enc_a)
-        kb_a = enc_a.cnf.extended(oq.definitions)
-        kb_h = kb_h.extended(oq.definitions)
-        return enc_a, plan, feas, ReconcileProblem(kb_a, kb_h, oq.query, mode=RESTRICTED)
+        result = run_explain_plan(config)
+        assert result.explanation is not None, result.report.records
+        return result
 
     def test_missing_precondition_explained(self):
-        enc_a, plan, feas, problem = self._pipeline(scenario=1, seed=0)
-        assert feas.feasible  # dropping preconditions cannot break the plan
-        expl = reconcile(problem)
+        result = self._pipeline(scenario=1, seed=0)
+        # dropping preconditions cannot break the plan
+        assert "feasibility feasible=true missing=0" in result.report.records
+        enc_a, expl, problem = result.encoding, result.explanation, result.problem
         pre_clause = tuple(sorted(
             (-enc_a.var_map["finish@0"], enc_a.var_map["p@0"]), key=abs
         ))
         assert expl.update == (pre_clause,)
         size, _ = brute_force_min_update(problem)
         assert size == 1
-        kept = [c for c in problem.kb_h.clauses if c not in set(expl.removed_from_kb_h)]
-        assert verify_explanation(kept, expl.support, problem.query).ok
+        assert result.verification.ok
 
     def test_no_actions_scenario_explained(self):
-        enc_a, plan, feas, problem = self._pipeline(scenario=8, seed=0)
-        assert not feas.feasible
+        result = self._pipeline(scenario=8, seed=0)
         # set-p contributes 1 dynamics clause (its add), finish 2 (pre + add).
-        assert len(feas.missing_clauses) == 3
-        expl = reconcile(problem)
+        assert "feasibility feasible=false missing=3" in result.report.records
+        expl, problem = result.explanation, result.problem
         assert len(expl.removed_from_kb_h) >= 1  # over-strong frame clauses
         size, _ = brute_force_min_update(problem, max_candidates=20)
         assert len(expl.update) == size
-        kept = [c for c in problem.kb_h.clauses if c not in set(expl.removed_from_kb_h)]
-        assert verify_explanation(kept, expl.support, problem.query).ok
+        assert result.verification.ok
 
     def test_clean_model_needs_no_update(self):
         problem = ground(parse_pddl(CHAIN_DOMAIN, CHAIN_PROBLEM))

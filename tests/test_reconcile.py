@@ -13,7 +13,6 @@ from mrex.reconcile import (
     ReconcileError,
     ReconcileProblem,
     ReconcileTimeout,
-    brute_force_min_update,
     parse_explanation_records,
     preprocess_consistency,
     reconcile,
@@ -23,6 +22,7 @@ from mrex.reconcile import (
 )
 
 from oracles import (
+    brute_force_min_update,
     random_reconcile_instance,
     tt_entails,
     tt_min_support_size,
@@ -78,6 +78,13 @@ class TestWorkedExample:
         assert expl.update == ()
 
 
+def test_reconcile_submodule_is_not_shadowed():
+    import mrex.reconcile as m
+
+    assert m.__name__ == "mrex.reconcile"
+    assert callable(m.reconcile)
+
+
 class TestPremises:
     def test_kb_a_must_entail_query(self):
         with pytest.raises(PremiseError):
@@ -125,6 +132,8 @@ class TestEdgeCases:
             reconcile(ReconcileProblem(KB_A, KB_H, QUERY_A), timeout=0.0)
         assert exc.value.iterations >= 0
         assert exc.value.elapsed >= 0.0
+        with pytest.raises(ReconcileTimeout):
+            smallest_support(KB_A, QUERY_A, timeout=0.0)
 
     def test_multi_clause_query(self):
         # query (a ∧ (c ∨ d)) is unattainable from kb_a (it forces ¬c, ¬d),
@@ -229,6 +238,10 @@ class TestRandomAgreement:
             expected = tt_min_support_size(kb_a.clauses, query_l, 8)
             assert len(expl.support) == expected
             assert tt_entails(expl.support, query_l, 8)
+            via_loop = reconcile(ReconcileProblem(kb_a, _formula([], 8), query))
+            assert (expl.support, expl.iterations, expl.mcs_count) == (
+                via_loop.support, via_loop.iterations, via_loop.mcs_count
+            )
             done += 1
 
 

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from mrex.solver import SatSession, SolverUsageError, new_session
+from mrex.solver import SatSession, SolverUsageError
 
 from oracles import random_cnf, tt_satisfiable
 
 
 def test_empty_session_is_sat():
-    res = new_session(0).solve()
+    res = SatSession(0).solve()
     assert res.satisfiable
     assert res.model == (False,)
 
