@@ -1,164 +1,263 @@
 """Exact minimum-cardinality hitting sets over collections of clause-id sets.
 
-The optimum is computed by depth-first search with four exact reductions:
-singleton sets force their element, disjoint groups of sets are solved
-independently (their optima add), supersets of other members are dropped,
-and a greedy disjoint-packing bound prunes branches.  Solved subproblems
-are memoized on the instance, so the incremental use pattern — add one set,
-re-solve — reuses earlier work.  Among equal-cardinality optima the solver
-returns the lexicographically smallest by sorted element order, so repeated
-runs are byte-for-byte reproducible.
+Each set is stored as a Python ``int`` with one bit per element id.  A
+singleton is a mask with ``m & (m - 1) == 0``, a subset test is
+``k & m == k``, the sets an element hits are those with its bit, and a
+group of sets is connected when the masks reachable from one of them,
+merged, cover the group's union.
+
+One capped branch-and-bound search, ``_opt(sets, cap, floor)``, answers
+every question the solver asks.  It returns the exact optimum when that is
+at most ``cap``, and otherwise a proven lower bound above ``cap``; ``floor``
+is a lower bound the caller already holds, and the search stops as soon as
+it finds a hitting set that small.  The reductions are exact: supersets of
+other members are dropped once, up front; singleton sets force their
+element; element-disjoint groups are solved apart, their optima add, and
+each group's cap is what the others' packing bounds leave; and a greedy
+packing of pairwise-disjoint sets bounds every branch from below.  A
+branch takes one element of a smallest set, most frequent first, and the
+child inherits its parent's lower bound minus one.
+
+``min_hitting_set`` first finds the optimum of each group, then rebuilds
+the lexicographically smallest optimum (by sorted element order) in
+ascending element order: a candidate is kept when the sets it leaves
+unhit still have a hitting set of the remaining size ``t``, which is one
+bounded question, ``_opt(rest, cap=t, floor=t) == t``.  The smallest
+optimum is unique, so the search order does not change the answer, and
+repeated runs are byte-for-byte reproducible.
+
+Two memos live on the instance, keyed by the sorted masks of a
+subproblem, and carry work across the incremental use pattern (add one
+set, re-solve): one holds exact optima, the other proven lower bounds
+from searches that stopped at their cap.  An entry is written only when
+its search completes, so a search aborted by ``cancel`` leaves both
+memos valid and the instance usable.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from functools import reduce
+from operator import or_
+from typing import Callable, Iterable, Iterator
 
 Cancel = Callable[[], None]
 
-SetsKey = tuple[tuple[int, ...], ...]
+SetsKey = tuple[int, ...]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Element ids of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class HittingSetInstance:
-    """Growing collection of nonempty element sets."""
+    """Growing collection of nonempty sets of non-negative element ids.
+
+    ``nodes`` counts the capped searches entered over the instance's life;
+    it is deterministic for identical instances and call sequences.
+    """
 
     def __init__(self, sets: Iterable[Iterable[int]] = ()):
-        self.universe: set[int] = set()
-        self.sets: list[frozenset[int]] = []
-        self._memo: dict[SetsKey, int] = {}
+        self.masks: list[int] = []
+        self.nodes = 0
+        self._exact: dict[SetsKey, int] = {}
+        self._lower: dict[SetsKey, int] = {}
         for s in sets:
             self.add_set(s)
 
     def add_set(self, elements: Iterable[int]) -> None:
-        fs = frozenset(elements)
-        if not fs:
+        mask = 0
+        for e in elements:
+            mask |= 1 << e
+        if not mask:
             raise ValueError("an empty set admits no hitting set")
-        self.universe |= fs
-        self.sets.append(fs)
+        self.masks.append(mask)
+
+    @property
+    def sets(self) -> list[frozenset[int]]:
+        return [frozenset(_bits(m)) for m in self.masks]
+
+    @property
+    def universe(self) -> frozenset[int]:
+        return frozenset(_bits(reduce(or_, self.masks, 0)))
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.masks)
 
 
-def _minimal_sets(sets: Iterable[frozenset[int]]) -> list[frozenset[int]]:
-    """Drop supersets of other members; hitting sets are unchanged."""
-    kept: list[frozenset[int]] = []
-    for s in sorted(set(sets), key=lambda x: (len(x), sorted(x))):
-        if not any(k <= s for k in kept):
-            kept.append(s)
+def _minimal_sets(masks: Iterable[int]) -> list[int]:
+    """Drop duplicates and supersets of other members; hitting sets are
+    unchanged."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=lambda x: (x.bit_count(), x)):
+        if all(k & m != k for k in kept):
+            kept.append(m)
     return kept
 
 
-def _components(sets: list[frozenset[int]]) -> list[list[frozenset[int]]]:
-    """Group sets into element-connected components (union-find)."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s in sets:
-        items = sorted(s)
-        for e in items:
-            parent.setdefault(e, e)
-        for e in items[1:]:
-            parent[find(items[0])] = find(e)
-    groups: dict[int, list[frozenset[int]]] = {}
-    for s in sets:
-        groups.setdefault(find(next(iter(s))), []).append(s)
-    return [groups[root] for root in sorted(groups)]
+def _forced_units(sets: list[int]) -> tuple[int, list[int]]:
+    """Elements of singleton sets belong to every hitting set.  Returns the
+    forced elements as a mask and the sets still unhit after taking them."""
+    forced = 0
+    while True:
+        units = 0
+        for m in sets:
+            if m & (m - 1) == 0:
+                units |= m
+        if not units:
+            return forced, sets
+        forced |= units
+        sets = [m for m in sets if not m & units]
 
 
-def _packing_bound(sets: list[frozenset[int]]) -> int:
+def _components(sets: list[int]) -> list[list[int]]:
+    """Group sets into element-connected components: grow the element mask
+    reachable from the first set until no set adds to it, split it off,
+    repeat.  A mask that reaches every element ends the split."""
+    union = reduce(or_, sets, 0)
+    groups: list[list[int]] = []
+    while union:
+        reach, grown = 0, sets[0]
+        while grown != reach and grown != union:
+            reach = grown
+            for m in sets:
+                if m & grown:
+                    grown |= m
+        if grown == union:
+            groups.append(sets)
+            break
+        groups.append([m for m in sets if m & reach])
+        sets = [m for m in sets if not m & reach]
+        union ^= reach
+    return groups
+
+
+def _packing_bound(sets: list[int]) -> int:
     """Number of pairwise-disjoint sets found greedily (smallest first):
     each needs its own hitting element, so this lower-bounds the optimum."""
-    used: set[int] = set()
+    used = 0
     count = 0
-    for s in sorted(sets, key=len):
-        if not (s & used):
+    for m in sorted(sets, key=int.bit_count):
+        if not m & used:
             count += 1
-            used |= s
+            used |= m
     return count
 
 
-def _forced_units(sets: list[frozenset[int]]) -> tuple[set[int], list[frozenset[int]]]:
-    """Elements of singleton sets belong to every hitting set.  Returns the
-    forced elements and the sets still uncovered after taking them."""
-    forced: set[int] = set()
-    work = sets
-    while True:
-        units = {next(iter(s)) for s in work if len(s) == 1}
-        if not units:
-            return forced, work
-        forced |= units
-        work = [s for s in work if not (s & units)]
-
-
-def _sets_key(sets: list[frozenset[int]]) -> SetsKey:
-    return tuple(sorted(tuple(sorted(s)) for s in sets))
-
-
-def _optimum(
-    sets: list[frozenset[int]],
-    memo: dict[SetsKey, int],
+def _opt(
+    inst: HittingSetInstance,
+    sets: list[int],
+    cap: int,
+    floor: int,
     cancel: Cancel | None,
 ) -> int:
-    """Exact minimum hitting-set size for an arbitrary collection."""
+    """Minimum hitting-set size of ``sets`` if it is at most ``cap``;
+    otherwise a proven lower bound greater than ``cap``.  ``floor`` must be
+    a proven lower bound on the optimum."""
+    inst.nodes += 1
     if not sets:
         return 0
+    if cap < 1:
+        return 1
     if cancel is not None:
         cancel()
     forced, rest = _forced_units(sets)
     if forced:
-        return len(forced) + _optimum(rest, memo, cancel)
+        k = forced.bit_count()
+        if k > cap:
+            return k
+        return k + _opt(inst, rest, cap - k, floor - k, cancel)
+    key = tuple(sorted(rest))
+    exact = inst._exact.get(key)
+    if exact is not None:
+        return exact
+    lower = max(floor, inst._lower.get(key, 0))
+    if lower > cap:
+        return lower
     components = _components(rest)
     if len(components) > 1:
-        return sum(_optimum(c, memo, cancel) for c in components)
-    key = _sets_key(rest)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    lower = _packing_bound(rest)
-    occurrence: dict[int, int] = {}
-    for s in rest:
-        for e in s:
-            occurrence[e] = occurrence.get(e, 0) + 1
-    target = min(rest, key=lambda s: (len(s), sorted(s)))
-    best = len(rest)  # one element per set always suffices
-    for e in sorted(target, key=lambda x: (-occurrence[x], x)):
-        value = 1 + _optimum([s for s in rest if e not in s], memo, cancel)
+        value = _opt_split(inst, components, cap, cancel)
+    else:
+        value = _opt_branch(inst, rest, cap, max(lower, _packing_bound(rest)), cancel)
+    if value <= cap:
+        inst._exact[key] = value
+    else:
+        inst._lower[key] = value
+    return value
+
+
+def _opt_split(
+    inst: HittingSetInstance,
+    components: list[list[int]],
+    cap: int,
+    cancel: Cancel | None,
+) -> int:
+    """``_opt`` of element-disjoint components: their optima add, so each
+    component's cap is what the others' lower bounds leave."""
+    bounds = [_packing_bound(c) for c in components]
+    slack = cap - sum(bounds)
+    if slack < 0:
+        return cap - slack
+    total = 0
+    for c, bound in zip(components, bounds):
+        value = _opt(inst, c, bound + slack, bound, cancel)
+        total += value
+        slack -= value - bound
+        if slack < 0:
+            return cap - slack
+    return total
+
+
+def _opt_branch(
+    inst: HittingSetInstance,
+    sets: list[int],
+    cap: int,
+    lower: int,
+    cancel: Cancel | None,
+) -> int:
+    """``_opt`` of one connected family with proven lower bound ``lower``:
+    branch on the elements of a smallest set, most frequent first."""
+    if lower > cap:
+        return lower
+    target = min(sets, key=int.bit_count)
+    occurrence = {e: sum(1 for m in sets if m >> e & 1) for e in _bits(target)}
+    best = cap + 1  # no hitting set of size <= cap found yet
+    bound = None  # least lower bound proven by the children
+    for e in sorted(occurrence, key=lambda x: (-occurrence[x], x)):
+        bit = 1 << e
+        value = 1 + _opt(inst, [m for m in sets if not m & bit], best - 2,
+                         lower - 1, cancel)
         if value < best:
             best = value
             if best == lower:
                 break
-    memo[key] = best
-    return best
+        elif best > cap:
+            bound = value if bound is None else min(bound, value)
+    return best if best <= cap else bound
 
 
-def _lex_reconstruct(
-    sets: list[frozenset[int]],
-    memo: dict[SetsKey, int],
-    cancel: Cancel | None,
+def _lex_smallest(
+    inst: HittingSetInstance, sets: list[int], cancel: Cancel | None
 ) -> list[int]:
-    """Lexicographically smallest optimum: grow the answer in ascending
-    element order, keeping each candidate that still allows an optimal
-    completion of what remains."""
+    """Lexicographically smallest optimum of one component: grow the answer
+    in ascending element order, keeping each candidate that still allows an
+    optimal completion of what remains."""
+    need = _opt(inst, sets, len(sets), 0, cancel)
     chosen: list[int] = []
     remaining = sets
-    need = _optimum(sets, memo, cancel)
-    floor: int | None = None
+    after = -1
     while remaining:
-        candidates = sorted(
-            e for e in set().union(*remaining) if floor is None or e > floor
-        )
-        for e in candidates:
-            rest = [s for s in remaining if e not in s]
-            if _optimum(rest, memo, cancel) == need - len(chosen) - 1:
+        t = need - len(chosen) - 1
+        for e in _bits(reduce(or_, remaining) >> (after + 1) << (after + 1)):
+            bit = 1 << e
+            rest = [m for m in remaining if not m & bit]
+            if _opt(inst, rest, t, t, cancel) == t:
                 chosen.append(e)
                 remaining = rest
-                floor = e
+                after = e
                 break
         else:  # pragma: no cover - the optimum guarantees progress
             raise AssertionError("lexicographic reconstruction failed")
@@ -174,12 +273,9 @@ def min_hitting_set(
     equal-size optima.  Deterministic for identical instances; `cancel`
     (a callable raising to abort) is polled between search nodes.
     """
-    sets = _minimal_sets(instance.sets)
-    if not sets:
-        return frozenset()
-    chosen: set[int] = set()
+    sets = _minimal_sets(instance.masks)
     forced, rest = _forced_units(sets)
-    chosen |= forced
+    chosen = set(_bits(forced))
     for component in _components(rest):
-        chosen.update(_lex_reconstruct(component, instance._memo, cancel))
+        chosen.update(_lex_smallest(instance, component, cancel))
     return frozenset(chosen)

@@ -118,3 +118,75 @@ def test_zero_based_random_universe():
         got = min_hitting_set(inst)
         assert all(got & s for s in inst.sets)
         assert len(got) == brute_min_hitting_set_size(inst.sets)
+
+
+def _lex_smallest_minimum(sets):
+    minimal = all_minimal_hitting_sets(sets)
+    smallest = min(len(s) for s in minimal)
+    return min((s for s in minimal if len(s) == smallest), key=lambda s: sorted(s))
+
+
+def test_reconcile_growth_pattern_matches_brute_force():
+    # reconcile adds MCSes disjoint from the previous answer; ids 0 and
+    # >= 64 put set members on both sides of a machine-word boundary
+    rng = random.Random(4096)
+    pool = [0, 1, 2, 3, 62, 63, 64, 65, 127, 128, 200]
+    for _ in range(60):
+        universe = rng.sample(pool, rng.randint(4, 9))
+        inst = HittingSetInstance()
+        answer = min_hitting_set(inst)
+        while True:
+            free = [e for e in universe if e not in answer]
+            if not free:
+                break
+            inst.add_set(rng.sample(free, rng.randint(1, min(3, len(free)))))
+            answer = min_hitting_set(inst)
+            assert answer == _lex_smallest_minimum(inst.sets), inst.sets
+
+
+class _Abort(Exception):
+    pass
+
+
+def _cancel_on_poll(n):
+    polls = 0
+
+    def cancel():
+        nonlocal polls
+        polls += 1
+        if polls == n:
+            raise _Abort
+
+    return cancel
+
+
+def test_cancelled_solve_leaves_instance_usable():
+    rng = random.Random(808)
+    aborted = 0
+    for _ in range(8):
+        universe = list(range(0, 90, 4))
+        sets = [rng.sample(universe, rng.randint(2, 4)) for _ in range(14)]
+        for n in (1, 2, 3, 5, 8, 13, 30, 80, 250):
+            inst = HittingSetInstance()
+            for count, s in enumerate(sets, 1):
+                inst.add_set(s)
+                try:
+                    min_hitting_set(inst, cancel=_cancel_on_poll(n))
+                except _Abort:
+                    aborted += 1
+                expected = min_hitting_set(HittingSetInstance(sets[:count]))
+                assert min_hitting_set(inst) == expected
+    assert aborted > 100
+
+
+def test_search_node_count_is_deterministic():
+    rng = random.Random(9)
+    sets = [rng.sample(range(30), 3) for _ in range(12)]
+    counts = []
+    for _ in range(2):
+        inst = HittingSetInstance()
+        for s in sets:
+            inst.add_set(s)
+            min_hitting_set(inst)
+        counts.append(inst.nodes)
+    assert counts[0] == counts[1] > 0
