@@ -104,9 +104,10 @@ class RunConfig:
     count: int = 2
     horizon: int | None = None
     include_goal: bool = False
+    plan: str | None = None
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # also rejects NaN
             raise ValueError("time limit must be positive")
 
 
@@ -148,13 +149,16 @@ def _lits(clause: Clause) -> str:
     return ",".join(str(l) for l in clause)
 
 
-def _read_input(path: str, report: Report) -> str:
+def _read_input(path: str, report: Report | None = None) -> str:
+    """Read a UTF-8 file; with a report, log its digest on an `input` record."""
     try:
         data = Path(path).read_bytes()
-    except OSError as exc:
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
-    report.record("input", path=path, sha256=hashlib.sha256(data).hexdigest())
-    return data.decode("utf-8")
+    if report is not None:
+        report.record("input", path=path, sha256=hashlib.sha256(data).hexdigest())
+    return text
 
 
 class CliError(Exception):
@@ -215,29 +219,13 @@ def _parse_query(path: str, report: Report) -> CnfFormula:
         raise CliError(EXIT_PARSE, f"query: {exc}") from exc
 
 
-def _explanation_records(
-    expl: Explanation, verification=None, names=None
-) -> list[str]:
-    lines = serialize_explanation(expl, verification).splitlines()
-    if names is None:
-        return lines
-    out = []
-    for line in lines:
-        if line.startswith("clause "):
-            lits = line.rsplit("lits=", 1)[1]
-            clause = tuple(int(t) for t in lits.split(",")) if lits else ()
-            line += f" names={';'.join(names(l) for l in clause)}"
-        out.append(line)
-    return out
-
-
 def _reconcile_stage(
     report: Report, problem: ReconcileProblem, timeout: float, names=None
-) -> tuple[int, Explanation | None, VerificationReport | None, list[str]]:
+) -> tuple[int, Explanation | None, VerificationReport | None, str]:
     """Reconcile, verify against the kept kb_h clauses, and report.
 
     Returns (exit code, explanation, verification, explanation records);
-    the last three are None/None/[] when reconciliation itself failed.
+    the last three are None/None/"" when reconciliation itself failed.
     """
     started = time.monotonic()
     try:
@@ -245,7 +233,7 @@ def _reconcile_stage(
     except PremiseError as exc:
         report.record("error", kind="premise", msg=str(exc))
         report.text(f"premise violation: {exc}")
-        return EXIT_PREMISE, None, None, []
+        return EXIT_PREMISE, None, None, ""
     except ReconcileTimeout as exc:
         report.record(
             "stat",
@@ -256,12 +244,12 @@ def _reconcile_stage(
         report.record("error", kind="timeout", msg=str(exc))
         report.record("time", elapsed=exc.elapsed)
         report.text(f"timeout after {exc.elapsed:.3f}s ({exc.iterations} iterations)")
-        return EXIT_TIMEOUT, None, None, []
+        return EXIT_TIMEOUT, None, None, ""
     removed = set(expl.removed_from_kb_h)
     kept = [c for c in problem.kb_h.clauses if c not in removed]
     verification = verify_explanation(kept, expl.support, problem.query)
-    lines = _explanation_records(expl, verification, names)
-    for line in lines:
+    records = serialize_explanation(expl, verification, names)
+    for line in records.splitlines():
         report.raw_record(line)
     report.record("time", elapsed=time.monotonic() - started)
 
@@ -279,8 +267,8 @@ def _reconcile_stage(
     report.text(f"verification: {'ok' if verification.ok else 'FAILED'}")
     if not verification.ok:
         report.record("error", kind="verify", msg=";".join(verification.failures))
-        return EXIT_VERIFY, expl, verification, lines
-    return EXIT_OK, expl, verification, lines
+        return EXIT_VERIFY, expl, verification, records
+    return EXIT_OK, expl, verification, records
 
 
 def cmd_reconcile(config: RunConfig) -> tuple[Report, int]:
@@ -289,9 +277,9 @@ def cmd_reconcile(config: RunConfig) -> tuple[Report, int]:
     kb_h = _parse_cnf(config.inputs[1], report, "kb_h")
     query = _parse_query(config.query, report)
     problem = ReconcileProblem(kb_a, kb_h, query, mode=config.mode)
-    code, expl, _verification, lines = _reconcile_stage(report, problem, config.timeout)
+    code, expl, _verification, records = _reconcile_stage(report, problem, config.timeout)
     if expl is not None and config.out:
-        _write_out(config.out, "\n".join(lines) + "\n")
+        _write_out(config.out, records)
     return report, code
 
 
@@ -440,14 +428,7 @@ def cmd_tweak_cnf(config: RunConfig) -> tuple[Report, int]:
 def _parse_planning_inputs(config: RunConfig, report: Report):
     domain_text = _read_input(config.inputs[0], report)
     problem_text = _read_input(config.inputs[1], report)
-    try:
-        task = parse_pddl(domain_text, problem_text)
-    except PddlParseError as exc:
-        raise CliError(EXIT_PARSE, str(exc)) from exc
-    try:
-        problem = ground(task)
-    except GroundingCapError as exc:
-        raise CliError(EXIT_CAP, str(exc)) from exc
+    problem = ground(parse_pddl(domain_text, problem_text))
     report.record("ground", fluents=len(problem.fluents),
                   actions=len(problem.actions))
     return problem
@@ -456,11 +437,8 @@ def _parse_planning_inputs(config: RunConfig, report: Report):
 def cmd_tweak_model(config: RunConfig) -> tuple[Report, int]:
     report = _start(config)
     problem = _parse_planning_inputs(config, report)
-    try:
-        tweaked = tweak_model(problem, config.scenario, config.seed,
-                              count=config.count)
-    except PlanningError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from exc
+    tweaked = tweak_model(problem, config.scenario, config.seed,
+                          count=config.count)
     for rec in tweaked.log:
         report.record("tweak", **_tweak_fields(rec))
         report.text(str(rec))
@@ -528,30 +506,20 @@ class ExplainPlanResult:
     verification: VerificationReport | None = None
     problem: ReconcileProblem | None = None
     encoding: BoundedEncoding | None = None
-    plan: tuple = ()
-    repair: tuple[Clause, ...] = ()
-    artifacts: dict[str, str] = field(default_factory=dict)
 
 
-def run_explain_plan(config: RunConfig, plan_text: str | None = None) -> ExplainPlanResult:
+def run_explain_plan(config: RunConfig) -> ExplainPlanResult:
+    plan_text = None if config.plan is None else _read_input(config.plan)
     report = _start(config)
     problem = _parse_planning_inputs(config, report)
 
     if plan_text is not None:
-        try:
-            plan = parse_plan_text(plan_text, problem)
-        except PlanningError as exc:
-            raise CliError(EXIT_PARSE, str(exc)) from exc
+        plan = parse_plan_text(plan_text, problem)
         if not validate_plan(problem, plan):
             raise CliError(EXIT_PARSE, "provided plan does not reach the goal")
         source = "file"
     else:
-        try:
-            plan = optimal_plan_search(problem)
-        except GoalUnreachableError as exc:
-            raise CliError(EXIT_CAP, str(exc)) from exc
-        except StateCapError as exc:
-            raise CliError(EXIT_CAP, str(exc)) from exc
+        plan = optimal_plan_search(problem)
         source = "search"
     n = len(plan)
     report.record("plan", source=source, length=n)
@@ -570,7 +538,7 @@ def run_explain_plan(config: RunConfig, plan_text: str | None = None) -> Explain
                       iterations=0, mcs_count=0, oracle_calls=0)
         report.record("note", msg="empty optimal plan; optimality is vacuous")
         report.text("the goal already holds initially; nothing to explain")
-        return ExplainPlanResult(report, EXIT_OK, plan=plan)
+        return ExplainPlanResult(report, EXIT_OK)
 
     enc_a = encode_bounded(problem, n, include_goal=False)
     enc_h = encode_bounded(
@@ -609,12 +577,9 @@ def run_explain_plan(config: RunConfig, plan_text: str | None = None) -> Explain
     kb_a = enc_a.cnf.extended(oq.definitions)
     kb_h = kb_h_cnf.extended(oq.definitions)
     rec_problem = ReconcileProblem(kb_a, kb_h, oq.query, mode=config.mode)
-    code, expl, verification, expl_lines = _reconcile_stage(
+    code, expl, verification, records = _reconcile_stage(
         report, rec_problem, config.timeout, names=name_of
     )
-    result = ExplainPlanResult(report, code, explanation=expl,
-                               verification=verification, problem=rec_problem,
-                               encoding=enc_a, plan=plan, repair=feas.missing_clauses)
     if expl is not None and config.out:
         outdir = Path(config.out)
         provenance = [r for r in report.records if not r.startswith("time ")]
@@ -626,27 +591,27 @@ def run_explain_plan(config: RunConfig, plan_text: str | None = None) -> Explain
             str(outdir / "query.txt"),
             "\n".join(str(c[0]) for c in oq.query.clauses) + "\n",
         )
-        _write_out(str(outdir / "explanation.records"),
-                   "\n".join(expl_lines) + "\n")
+        _write_out(str(outdir / "explanation.records"), records)
         report.text(f"wrote artifacts under {outdir}/")
-        result.artifacts = {
-            "kb_a": str(outdir / "kb_a.cnf"),
-            "kb_h": str(outdir / "kb_h.cnf"),
-            "query": str(outdir / "query.txt"),
-            "explanation": str(outdir / "explanation.records"),
-        }
-    return result
+    return ExplainPlanResult(report, code, explanation=expl,
+                             verification=verification, problem=rec_problem,
+                             encoding=enc_a)
 
 
-def cmd_explain_plan(config: RunConfig, plan_path: str | None) -> tuple[Report, int]:
-    plan_text = None
-    if plan_path is not None:
-        try:
-            plan_text = Path(plan_path).read_text()
-        except OSError as exc:
-            raise CliError(EXIT_PARSE, f"cannot read {plan_path}: {exc}") from exc
-    result = run_explain_plan(config, plan_text)
+def cmd_explain_plan(config: RunConfig) -> tuple[Report, int]:
+    result = run_explain_plan(config)
     return result.report, result.exit_code
+
+
+COMMANDS = {
+    "reconcile": cmd_reconcile,
+    "explain-plan": cmd_explain_plan,
+    "tweak-cnf": cmd_tweak_cnf,
+    "tweak-model": cmd_tweak_model,
+    "backbone": cmd_backbone,
+    "verify": cmd_verify,
+    "encode-plan": cmd_encode_plan,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -661,59 +626,60 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, mode_default: str = GENERAL) -> None:
-        p.add_argument("--mode", choices=[GENERAL, RESTRICTED],
-                       default=mode_default,
-                       help="where support clauses may come from")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
-                       help="time limit in seconds (default 1500)")
-        p.add_argument("--format", dest="fmt", choices=["text", "records"],
-                       default="text")
-        p.add_argument("--out", default=None, help="output path")
+    def add(name: str, **kwargs) -> argparse.ArgumentParser:
+        # An option left out stays off the namespace, so RunConfig's
+        # default applies: each default is written once.
+        return sub.add_parser(name, argument_default=argparse.SUPPRESS, **kwargs)
 
-    p = sub.add_parser("reconcile", help="explain a query to a CNF kb_h")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--mode", choices=[GENERAL, RESTRICTED],
+                       help="where support clauses may come from")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--timeout", type=float,
+                       help=f"time limit in seconds (default {DEFAULT_TIMEOUT:g})")
+        p.add_argument("--format", dest="fmt", choices=["text", "records"])
+        p.add_argument("--out", help="output path")
+
+    p = add("reconcile", help="explain a query to a CNF kb_h")
     p.add_argument("kb_a")
     p.add_argument("kb_h")
     p.add_argument("--query", required=True)
     common(p)
 
-    p = sub.add_parser("explain-plan",
-                       help="explain plan optimality to a perturbed model")
+    p = add("explain-plan", help="explain plan optimality to a perturbed model")
     p.add_argument("domain")
     p.add_argument("problem")
     p.add_argument("--scenario", type=int, choices=range(1, 9), required=True)
-    p.add_argument("--count", type=int, default=2,
+    p.add_argument("--count", type=int,
                    help="removals per action/state for scenarios 4 and 6")
-    p.add_argument("--plan", default=None,
-                   help="plan file (default: search for an optimal plan)")
-    common(p, mode_default=RESTRICTED)
+    p.add_argument("--plan", help="plan file (default: search for an optimal plan)")
+    common(p)
+    p.set_defaults(mode=RESTRICTED)
 
-    p = sub.add_parser("tweak-cnf", help="perturb a CNF knowledge base")
+    p = add("tweak-cnf", help="perturb a CNF knowledge base")
     p.add_argument("kb")
     p.add_argument("--scenario", type=int, choices=range(9, 13), required=True)
     common(p)
 
-    p = sub.add_parser("tweak-model", help="perturb a grounded planning model")
+    p = add("tweak-model", help="perturb a grounded planning model")
     p.add_argument("domain")
     p.add_argument("problem")
     p.add_argument("--scenario", type=int, choices=range(1, 9), required=True)
-    p.add_argument("--count", type=int, default=2)
+    p.add_argument("--count", type=int)
     common(p)
 
-    p = sub.add_parser("backbone", help="derive a backbone-literal query")
+    p = add("backbone", help="derive a backbone-literal query")
     p.add_argument("kb")
-    p.add_argument("--k", type=int, default=0,
-                   help="sample size (0 = all backbone literals)")
+    p.add_argument("--k", type=int, help="sample size (0 = all backbone literals)")
     common(p)
 
-    p = sub.add_parser("verify", help="check an explanation file")
+    p = add("verify", help="check an explanation file")
     p.add_argument("kb_h")
     p.add_argument("explanation")
     p.add_argument("--query", required=True)
     common(p)
 
-    p = sub.add_parser("encode-plan", help="write a bounded planning encoding")
+    p = add("encode-plan", help="write a bounded planning encoding")
     p.add_argument("domain")
     p.add_argument("problem")
     p.add_argument("--horizon", type=int, required=True)
@@ -723,52 +689,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    fields = dict(vars(args))
     inputs = tuple(
-        getattr(args, name)
+        fields.pop(name)
         for name in ("kb_a", "kb_h", "kb", "domain", "problem", "explanation")
-        if getattr(args, name, None) is not None
+        if name in fields
     )
     try:
-        return RunConfig(
-            command=args.command,
-            inputs=inputs,
-            mode=getattr(args, "mode", GENERAL),
-            seed=args.seed,
-            timeout=args.timeout,
-            scenario=getattr(args, "scenario", None),
-            query=getattr(args, "query", None),
-            out=args.out,
-            fmt=args.fmt,
-            k=getattr(args, "k", 0),
-            count=getattr(args, "count", 2),
-            horizon=getattr(args, "horizon", None),
-            include_goal=getattr(args, "include_goal", False),
-        )
+        return RunConfig(inputs=inputs, **fields)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from exc
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        if args.command == "reconcile":
-            report, code = cmd_reconcile(config)
-        elif args.command == "explain-plan":
-            report, code = cmd_explain_plan(config, args.plan)
-        elif args.command == "tweak-cnf":
-            report, code = cmd_tweak_cnf(config)
-        elif args.command == "tweak-model":
-            report, code = cmd_tweak_model(config)
-        elif args.command == "backbone":
-            report, code = cmd_backbone(config)
-        elif args.command == "verify":
-            report, code = cmd_verify(config)
-        elif args.command == "encode-plan":
-            report, code = cmd_encode_plan(config)
-        else:  # pragma: no cover - argparse guards this
-            parser.error(f"unknown command {args.command}")
+        report, code = COMMANDS[config.command](config)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -167,13 +167,9 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(formula.clauses, formula.num_vars, tuple(warnings))
 
 
-def write_dimacs(formula: CnfFormula, comment: str | None = None) -> str:
+def write_dimacs(formula: CnfFormula) -> str:
     """Serialize to DIMACS; parse_dimacs(write_dimacs(f)) == f."""
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"c {part}")
-    lines.append(f"p cnf {formula.num_vars} {len(formula.clauses)}")
+    lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
     for clause in formula.clauses:
         lines.append(" ".join(str(l) for l in clause) + " 0")
     return "\n".join(lines) + "\n"

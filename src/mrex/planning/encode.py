@@ -209,7 +209,6 @@ class OptimalityQuery:
     query: CnfFormula
     definitions: tuple[Clause, ...]
     new_names: tuple[tuple[int, str], ...]
-    goal_step_literals: tuple[int, ...]
 
 
 def optimality_query(encoding: BoundedEncoding) -> OptimalityQuery:
@@ -223,7 +222,7 @@ def optimality_query(encoding: BoundedEncoding) -> OptimalityQuery:
         g = goal[0]
         lits = tuple(encoding.var(str(g), t) for t in range(n))
         query = CnfFormula.from_clauses([(-v,) for v in lits], encoding.cnf.num_vars)
-        return OptimalityQuery(query, (), (), lits)
+        return OptimalityQuery(query, (), ())
 
     base = encoding.cnf.num_vars
     defs: list[Clause] = []
@@ -240,7 +239,7 @@ def optimality_query(encoding: BoundedEncoding) -> OptimalityQuery:
             back.append(-fv)
         defs.append(tuple(back))
     query = CnfFormula.from_clauses([(-v,) for v in lits], base + n)
-    return OptimalityQuery(query, tuple(defs), tuple(names), tuple(lits))
+    return OptimalityQuery(query, tuple(defs), tuple(names))
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .formula import Clause, CnfFormula, negate_query, intersect_kbs
+from .formula import Clause, CnfFormula, negate_query, intersect_kbs, normalize_clause
 from .hitting import HittingSetInstance, min_hitting_set
 from .minsets import SoftSolver, extract_mcs, extract_mus
 from .solver import SatSession
@@ -290,8 +290,12 @@ def verify_explanation(
 
 
 def serialize_explanation(expl: Explanation,
-                          verification: VerificationReport | None = None) -> str:
-    """Line-delimited records; parse_explanation_records inverts it."""
+                          verification: VerificationReport | None = None,
+                          names: Callable[[int], str] | None = None) -> str:
+    """Line-delimited records; parse_explanation_records inverts it.
+
+    With names, each clause record also lists its literals' names.
+    """
     lines = [f"explanation mode={expl.mode}"]
     for role, clauses in (
         ("support", expl.support),
@@ -300,7 +304,10 @@ def serialize_explanation(expl: Explanation,
     ):
         for c in clauses:
             lits = ",".join(str(l) for l in c) if c else "-"
-            lines.append(f"clause role={role} lits={lits}")
+            line = f"clause role={role} lits={lits}"
+            if names is not None:
+                line += f" names={';'.join(names(l) for l in c)}"
+            lines.append(line)
     lines.append(
         "stat"
         f" support_size={len(expl.support)}"
@@ -329,7 +336,10 @@ def serialize_explanation(expl: Explanation,
 
 
 def parse_explanation_records(text: str) -> dict[str, list[Clause]]:
-    """Clause sections of a serialized explanation, keyed by role."""
+    """Clause sections of a serialized explanation, keyed by role.
+
+    Raises ValueError, FormulaError among them, on a malformed clause.
+    """
     out: dict[str, list[Clause]] = {"support": [], "update": [], "removed": []}
     for line in text.splitlines():
         parts = line.split()
@@ -340,6 +350,6 @@ def parse_explanation_records(text: str) -> dict[str, list[Clause]]:
         lits = fields.get("lits", "-")
         if role not in out:
             continue
-        clause = () if lits == "-" else tuple(int(x) for x in lits.split(","))
+        clause = () if lits == "-" else normalize_clause(map(int, lits.split(",")))
         out[role].append(clause)
     return out

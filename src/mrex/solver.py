@@ -76,7 +76,6 @@ class SatSession:
         self._ok = True
         self._hard_audit: list[tuple[int, ...]] = []
         self._soft_audit: dict[int, tuple[int, ...]] = {}
-        self._selectors: list[int] = []
         self.solve_count = 0
         for _ in range(num_vars):
             self.new_var()
@@ -115,7 +114,6 @@ class SatSession:
         self._check_clause(lits)
         self._grow_to(lits)
         s = self.new_var()
-        self._selectors.append(s)
         self._soft_audit[s] = lits
         self._add_clause([-s, *lits])
         return s

@@ -85,9 +85,10 @@ class TestReconcileCommand:
 
     def test_parse_error(self, worked, capsys):
         kb_a, kb_h, query = worked
-        kb_a.write_text("p cnf nonsense\n")
-        code, _ = run(capsys, "reconcile", kb_a, kb_h, "--query", query)
-        assert code == EXIT_PARSE
+        for content in (b"p cnf nonsense\n", b"\xff\xfe"):  # bad header, not UTF-8
+            kb_a.write_bytes(content)
+            code, _ = run(capsys, "reconcile", kb_a, kb_h, "--query", query)
+            assert code == EXIT_PARSE
 
     def test_missing_file(self, worked, capsys):
         kb_a, kb_h, query = worked
@@ -113,9 +114,10 @@ class TestReconcileCommand:
 
     def test_rejects_nonpositive_timeout(self, worked, capsys):
         kb_a, kb_h, query = worked
-        code, _ = run(capsys, "reconcile", kb_a, kb_h, "--query", query,
-                      "--timeout", "0")
-        assert code == 2
+        for timeout in ("0", "nan"):
+            code, _ = run(capsys, "reconcile", kb_a, kb_h, "--query", query,
+                          "--timeout", timeout)
+            assert code == 2
 
     def test_records_deterministic(self, worked, capsys):
         kb_a, kb_h, query = worked
@@ -162,6 +164,14 @@ class TestVerifyCommand:
                         "--format", "records")
         assert code == EXIT_VERIFY
         assert "minimal=false" in out
+
+    @pytest.mark.parametrize("lits", ["0", "1,-1"])
+    def test_malformed_clause_rejected(self, worked, tmp_path, capsys, lits):
+        _, kb_h, query = worked
+        bad = tmp_path / "bad.records"
+        bad.write_text(f"explanation mode=general\nclause role=support lits={lits}\n")
+        code, _ = run(capsys, "verify", kb_h, bad, "--query", query)
+        assert code == EXIT_PARSE
 
 
 class TestBackboneCommand:
@@ -317,6 +327,20 @@ class TestExplainPlanCommand:
         code, _ = run(capsys, "explain-plan", BLOCKS, TWO_BLOCKS,
                       "--scenario", "1", "--seed", "3", "--plan", plan)
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("plan_text", ["(fly a)\n", None])
+    def test_plan_file_error(self, tmp_path, capsys, plan_text):
+        """An unknown action and a missing plan file each end in one error
+        line on stderr, not a traceback."""
+        plan = tmp_path / "plan.txt"
+        if plan_text is not None:
+            plan.write_text(plan_text)
+        code = main(["explain-plan", BLOCKS, TWO_BLOCKS, "--scenario", "1",
+                     "--plan", str(plan)])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_bad_pddl(self, tmp_path, capsys):
         bad = tmp_path / "bad.pddl"
