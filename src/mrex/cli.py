@@ -10,7 +10,8 @@ config) triple; wall-clock readings appear only on lines starting with
 
 Exit codes:
   0   success
-  2   command-line usage error (argparse)
+  2   command-line usage error (argparse, a non-positive --timeout or
+      --count, an --out path that cannot be written)
   10  input could not be parsed (DIMACS, PDDL, query, plan, explanation)
   11  premise violation (kb_a unsatisfiable / does not entail the query,
       unsatisfiable backbone input, empty backbone)
@@ -27,7 +28,7 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -59,6 +60,7 @@ from .planning import (
     write_plan_text,
     write_var_map,
 )
+from .planning.tweaks import draw
 from .reconcile import (
     GENERAL,
     RESTRICTED,
@@ -67,6 +69,8 @@ from .reconcile import (
     ReconcileProblem,
     ReconcileTimeout,
     VerificationReport,
+    format_lits,
+    format_record,
     parse_explanation_records,
     reconcile,
     serialize_explanation,
@@ -109,6 +113,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.timeout > 0:  # also rejects NaN
             raise ValueError("time limit must be positive")
+        if self.count < 1:
+            raise ValueError("removal count must be at least 1")
 
 
 @dataclass
@@ -118,11 +124,8 @@ class Report:
     records: list[str] = field(default_factory=list)
     text_lines: list[str] = field(default_factory=list)
 
-    def record(self, _rectype: str, **fields: object) -> None:
-        parts = [_rectype]
-        for key, value in fields.items():
-            parts.append(f"{key}={_fmt_value(value)}")
-        self.records.append(" ".join(parts))
+    def record(self, kind: str, /, **fields: object) -> None:
+        self.records.append(format_record(kind, **fields))
 
     def raw_record(self, line: str) -> None:
         self.records.append(line)
@@ -133,20 +136,6 @@ class Report:
     def render(self, fmt: str) -> str:
         lines = self.records if fmt == "records" else self.text_lines
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _fmt_value(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.3f}"
-    if isinstance(value, (list, tuple)):
-        return ";".join(str(v) for v in value)
-    return str(value)
-
-
-def _lits(clause: Clause) -> str:
-    return ",".join(str(l) for l in clause)
 
 
 def _read_input(path: str, report: Report | None = None) -> str:
@@ -187,8 +176,11 @@ def _start(config: RunConfig) -> Report:
 
 
 def _write_out(path: str, content: str) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(content)
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(content)
+    except OSError as exc:
+        raise CliError(EXIT_USAGE, f"cannot write {path}: {exc}") from exc
 
 
 def _write_kb(path: str, formula: CnfFormula, log_lines: Iterable[str]) -> None:
@@ -254,7 +246,7 @@ def _reconcile_stage(
     report.record("time", elapsed=time.monotonic() - started)
 
     def show(clause: Clause) -> str:
-        return _lits(clause) if names is None else " ∨ ".join(map(names, clause))
+        return format_lits(clause) if names is None else " ∨ ".join(map(names, clause))
 
     report.text(
         f"support size {len(expl.support)}, update size {len(expl.update)}, "
@@ -295,13 +287,7 @@ def cmd_verify(config: RunConfig) -> tuple[Report, int]:
     removed = set(roles.get("removed", []))
     kept = [c for c in kb_h.clauses if c not in removed]
     verification = verify_explanation(kept, support, query)
-    report.record(
-        "verify",
-        entailed=verification.entailed,
-        minimal=verification.minimal,
-        consistent=verification.consistent,
-        ok=verification.ok,
-    )
+    report.raw_record(verification.record())
     for failure in verification.failures:
         report.record("failure", check=failure)
         report.text(f"failed: {failure}")
@@ -333,18 +319,14 @@ def cmd_backbone(config: RunConfig) -> tuple[Report, int]:
             report.text(f"warning: k={config.k} >= backbone size {len(backbone)}")
         else:
             rng = random.Random(config.seed)
-            pool = list(backbone)
-            chosen = sorted(
-                (pool.pop(rng.randrange(len(pool))) for _ in range(config.k)),
-                key=abs,
-            )
+            chosen = sorted(draw(rng, list(backbone), config.k), key=abs)
     report.record("stat", backbone_size=len(backbone), sampled=len(chosen))
     for lit in chosen:
         report.record("literal", value=lit)
     report.text(f"backbone size {len(backbone)}; query literals: "
                 + " ".join(str(l) for l in chosen))
     if config.out:
-        lines = [f"run command=backbone seed={config.seed} k={config.k}"]
+        lines = [format_record("run", command="backbone", seed=config.seed, k=config.k)]
         lines += [r for r in report.records if r.startswith("input ")]
         _write_out(config.out, "\n".join(str(l) for l in chosen) + "\n")
         _write_out(config.out + ".log", "\n".join(lines) + "\n")
@@ -368,12 +350,11 @@ def tweak_cnf(
     quota = math.ceil(rate * m)
     log: list[str] = []
 
-    pool = list(range(m))
     removed: set[int] = set()
-    for _ in range(min(quota, len(pool))):
-        idx = pool.pop(rng.randrange(len(pool)))
+    for idx in draw(rng, list(range(m)), quota):
         removed.add(idx)
-        log.append(f"remove index={idx} lits={_lits(formula.clauses[idx])}")
+        log.append(format_record("remove", index=idx,
+                                 lits=format_lits(formula.clauses[idx])))
 
     survivors = {i: list(formula.clauses[i]) for i in range(m) if i not in removed}
     trim_pool = sorted(survivors)
@@ -383,22 +364,15 @@ def tweak_cnf(
         clause = survivors[idx]
         if len(clause) < 2:
             skipped += 1
-            log.append(f"skip index={idx} reason=unit")
+            log.append(format_record("skip", index=idx, reason="unit"))
             continue
-        drop = math.ceil(TRIM_RATE * len(clause))
         before = len(clause)
-        gone: list[int] = []
-        for _ in range(drop):
-            gone.append(clause.pop(rng.randrange(len(clause))))
+        gone = draw(rng, clause, math.ceil(TRIM_RATE * before))
         trimmed += 1
-        log.append(
-            f"trim index={idx} removed={_fmt_value(sorted(gone, key=abs))} "
-            f"before={before} after={len(clause)}"
-        )
-    log.append(
-        f"stat clauses_before={m} clauses_after={len(survivors)} "
-        f"removed={len(removed)} trimmed={trimmed} skipped={skipped}"
-    )
+        log.append(format_record("trim", index=idx, removed=sorted(gone, key=abs),
+                                 before=before, after=len(clause)))
+    log.append(format_record("stat", clauses_before=m, clauses_after=len(survivors),
+                             removed=len(removed), trimmed=trimmed, skipped=skipped))
     out = CnfFormula.from_clauses(
         (survivors[i] for i in sorted(survivors)), num_vars=formula.num_vars
     )
@@ -440,8 +414,9 @@ def cmd_tweak_model(config: RunConfig) -> tuple[Report, int]:
     tweaked = tweak_model(problem, config.scenario, config.seed,
                           count=config.count)
     for rec in tweaked.log:
-        report.record("tweak", **_tweak_fields(rec))
-        report.text(str(rec))
+        line = format_record("tweak", **_tweak_fields(rec))
+        report.raw_record(line)
+        report.text(line.removeprefix("tweak "))
     listing = _model_listing(tweaked.problem)
     report.record("model", actions=len(tweaked.problem.actions),
                   init=len(tweaked.problem.init))
@@ -456,24 +431,18 @@ def cmd_tweak_model(config: RunConfig) -> tuple[Report, int]:
 
 
 def _tweak_fields(rec) -> dict[str, object]:
-    fields: dict[str, object] = {"scenario": rec.scenario, "kind": rec.kind}
-    if rec.action is not None:
-        fields["action"] = rec.action
-    if rec.atom is not None:
-        fields["atom"] = rec.atom
-    return fields
+    return {key: value for key, value in asdict(rec).items() if value is not None}
 
 
 def _model_listing(problem) -> str:
     lines = [f"init {' '.join(str(a) for a in sorted(problem.init))}".rstrip()]
     lines.append(f"goal {' '.join(str(a) for a in sorted(problem.goal))}".rstrip())
     for action in problem.actions:
-        lines.append(
-            f"action {action.label}"
-            f" pre={_fmt_value(sorted(map(str, action.pre)))}"
-            f" add={_fmt_value(sorted(map(str, action.add)))}"
-            f" del={_fmt_value(sorted(map(str, action.delete)))}"
-        )
+        parts = {"pre": action.pre, "add": action.add, "del": action.delete}
+        lines.append(format_record(
+            f"action {action.label}",
+            **{key: sorted(map(str, atoms)) for key, atoms in parts.items()},
+        ))
     return "\n".join(lines) + "\n"
 
 
@@ -568,8 +537,8 @@ def run_explain_plan(config: RunConfig) -> ExplainPlanResult:
         kb_h_cnf = kb_h_cnf.extended(feas.missing_clauses)
         for clause, origin in zip(feas.missing_clauses, feas.missing_origins):
             report.record(
-                "clause", role="repair", lits=_lits(clause),
-                names=";".join(name_of(l) for l in clause),
+                "clause", role="repair", lits=format_lits(clause),
+                names=[name_of(l) for l in clause],
                 kind=origin.kind, t=origin.t, action=origin.action,
             )
         report.text(f"feasibility repair: restored {len(feas.missing_clauses)} "

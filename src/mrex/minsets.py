@@ -82,10 +82,8 @@ class SoftSolver:
     def __len__(self) -> int:
         return len(self.soft)
 
-    def solve_ids(self, ids: Iterable[int], extra: Iterable[int] = ()) -> SolveResult:
-        assumptions = [self.selectors[i] for i in ids]
-        assumptions.extend(extra)
-        return self.session.solve(assumptions)
+    def solve_ids(self, ids: Iterable[int]) -> SolveResult:
+        return self.session.solve([self.selectors[i] for i in ids])
 
     def core_ids(self, result: SolveResult) -> set[int]:
         return {self._positions[x] for x in result.conflict_subset if x in self._positions}
@@ -107,11 +105,9 @@ class SoftSolver:
 
 
 def extract_mcs(
-    soft: Sequence[Clause] | SoftSolver,
-    hard: Iterable[Clause] = (),
+    ws: SoftSolver,
     seed: Iterable[int] = (),
     *,
-    num_vars: int | None = None,
     first_result: SolveResult | None = None,
     cancel: Cancel | None = None,
 ) -> McsResult:
@@ -121,7 +117,6 @@ def extract_mcs(
     position order, admitting for free every clause the current model already
     satisfies; the complement of the final subset is the MCS.
     """
-    ws = soft if isinstance(soft, SoftSolver) else SoftSolver(soft, hard, num_vars)
     kept = set(seed)
     res = first_result if first_result is not None else ws.solve_ids(kept)
     if not res.satisfiable:
@@ -154,20 +149,13 @@ def _audit_mcs(ws: SoftSolver, mcs: frozenset[int], seed: set[int]) -> None:
         )
 
 
-def extract_mus(
-    soft: Sequence[Clause] | SoftSolver,
-    hard: Iterable[Clause] = (),
-    *,
-    num_vars: int | None = None,
-    cancel: Cancel | None = None,
-) -> MusResult:
+def extract_mus(ws: SoftSolver, *, cancel: Cancel | None = None) -> MusResult:
     """One minimal unsatisfiable subset of the soft clauses (modulo hard).
 
     Deletion-based: drop candidates in ascending position order, keeping
     those whose removal restores satisfiability.  Conflict subsets from the
     oracle prune candidates that cannot be in the current core.
     """
-    ws = soft if isinstance(soft, SoftSolver) else SoftSolver(soft, hard, num_vars)
     res = ws.solve_ids(range(len(ws.soft)))
     if res.satisfiable:
         raise NotUnsatisfiableError("hard and soft clauses are jointly satisfiable")

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from typing import TypeVar
 
-from .model import GroundAction, GroundAtom, PlanningError, PlanningProblem
+from .model import GroundAction, PlanningError, PlanningProblem
+
+T = TypeVar("T")
 
 SCENARIOS = {
     1: "one random precondition removed from every action",
@@ -34,14 +37,6 @@ class TweakRecord:
     action: str | None = None
     atom: str | None = None
 
-    def __str__(self) -> str:
-        parts = [f"scenario={self.scenario}", f"kind={self.kind}"]
-        if self.action is not None:
-            parts.append(f"action={self.action}")
-        if self.atom is not None:
-            parts.append(f"atom={self.atom}")
-        return " ".join(parts)
-
 
 @dataclass(frozen=True)
 class TweakedModel:
@@ -51,15 +46,15 @@ class TweakedModel:
     log: tuple[TweakRecord, ...]
 
 
-def _pick(rng: random.Random, atoms: frozenset[GroundAtom], k: int) -> list[GroundAtom]:
-    pool = sorted(atoms)
-    k = min(k, len(pool))
-    return [pool.pop(rng.randrange(len(pool))) for _ in range(k)]
+def draw(rng: random.Random, pool: list[T], k: int) -> list[T]:
+    """Pop min(k, len(pool)) items from pool at seeded random positions, in
+    draw order.  Keeping this call sequence keeps seeded outputs stable."""
+    return [pool.pop(rng.randrange(len(pool))) for _ in range(min(k, len(pool)))]
 
 
 def _drop_pre(action: GroundAction, rng: random.Random, count: int,
               scenario: int, log: list[TweakRecord]) -> GroundAction:
-    chosen = _pick(rng, action.pre, count)
+    chosen = draw(rng, sorted(action.pre), count)
     if not chosen:
         log.append(TweakRecord(scenario, "skip", action.label, "no-preconditions"))
         return action
@@ -71,11 +66,10 @@ def _drop_pre(action: GroundAction, rng: random.Random, count: int,
 def _drop_effects(action: GroundAction, rng: random.Random, count: int,
                   scenario: int, log: list[TweakRecord]) -> GroundAction:
     pool = sorted([("add", a) for a in action.add] + [("del", d) for d in action.delete])
-    k = min(count, len(pool))
-    if not k:
+    chosen = draw(rng, pool, count)
+    if not chosen:
         log.append(TweakRecord(scenario, "skip", action.label, "no-effects"))
         return action
-    chosen = [pool.pop(rng.randrange(len(pool))) for _ in range(k)]
     add, delete = set(action.add), set(action.delete)
     for kind, atom in chosen:
         log.append(TweakRecord(scenario, kind, action.label, str(atom)))
@@ -103,7 +97,7 @@ def tweak_model(
     actions: list[GroundAction] = []
 
     if scenario == 6:
-        removed = _pick(rng, problem.init, count)
+        removed = draw(rng, sorted(problem.init), count)
         for atom in removed:
             log.append(TweakRecord(6, "init", atom=str(atom)))
         tweaked = problem.replace_init(problem.init - set(removed))

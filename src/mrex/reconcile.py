@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Sequence
 from .formula import Clause, CnfFormula, negate_query, intersect_kbs, normalize_clause
 from .hitting import HittingSetInstance, min_hitting_set
 from .minsets import SoftSolver, extract_mcs, extract_mus
-from .solver import SatSession
 
 GENERAL = "general"
 RESTRICTED = "restricted"
@@ -39,13 +38,17 @@ class PremiseError(ReconcileError):
 class ReconcileTimeout(Exception):
     """Deadline hit; carries whatever statistics were gathered."""
 
-    def __init__(self, message: str, *, iterations: int = 0, mcs_count: int = 0,
+    def __init__(self, message: str, *, mcs_count: int = 0,
                  oracle_calls: int = 0, elapsed: float = 0.0):
         super().__init__(message)
-        self.iterations = iterations
         self.mcs_count = mcs_count
         self.oracle_calls = oracle_calls
         self.elapsed = elapsed
+
+    @property
+    def iterations(self) -> int:
+        """Completed iterations: each one found an MCS."""
+        return self.mcs_count
 
 
 class _Expired(Exception):
@@ -76,12 +79,16 @@ class Explanation:
     support: tuple[Clause, ...]
     update: tuple[Clause, ...]
     removed_from_kb_h: tuple[Clause, ...]
-    iterations: int
     mcs_count: int
     oracle_calls: int
     elapsed: float = field(compare=False)
     mode: str = GENERAL
     restricted_consistency_ok: bool | None = None
+
+    @property
+    def iterations(self) -> int:
+        """Every iteration but the last, which closed the gap, found an MCS."""
+        return self.mcs_count + 1
 
 
 @dataclass(frozen=True)
@@ -95,23 +102,24 @@ class VerificationReport:
     def ok(self) -> bool:
         return self.entailed and self.minimal and self.consistent
 
+    def record(self) -> str:
+        """The `verify` record line."""
+        return format_record("verify", entailed=self.entailed, minimal=self.minimal,
+                             consistent=self.consistent, ok=self.ok)
+
 
 def _env_vars(*formulas: CnfFormula) -> int:
     return max((f.num_vars for f in formulas), default=0)
 
 
-def _check_premises(kb_a: CnfFormula, query: CnfFormula, neg_clauses: Sequence[Clause],
-                    num_vars: int) -> int:
+def _check_premises(kb_a: CnfFormula, neg_clauses: Sequence[Clause], num_vars: int) -> int:
     """kb_a must be satisfiable and entail the query.  Returns solve count."""
-    session = SatSession(num_vars)
-    for c in kb_a.clauses:
-        session.add_hard(c)
-    if not session.solve().satisfiable:
+    ws = SoftSolver(neg_clauses, hard=kb_a.clauses, num_vars=num_vars)
+    if not ws.solve_ids(()).satisfiable:
         raise PremiseError("kb_a is unsatisfiable")
-    selectors = [session.add_soft(c) for c in neg_clauses]
-    if session.solve(selectors).satisfiable:
+    if ws.solve_ids(range(len(ws))).satisfiable:
         raise PremiseError("kb_a does not entail the query")
-    return session.solve_count
+    return ws.oracle_calls
 
 
 def preprocess_consistency(
@@ -177,7 +185,7 @@ def _search(problem: ReconcileProblem, timeout: float | None, *,
     instance = HittingSetInstance()
     ws = mus_ws = None
     try:
-        oracle_calls += _check_premises(kb_a, query, neg.clauses, total_vars)
+        oracle_calls += _check_premises(kb_a, neg.clauses, total_vars)
 
         hard_ids, soft_ids = intersect_kbs(kb_a, kb_h)
         shared = [kb_a.clauses[i] for i in sorted(hard_ids)]
@@ -204,27 +212,22 @@ def _search(problem: ReconcileProblem, timeout: float | None, *,
             mus = extract_mus(mus_ws, cancel=deadline.check)
             oracle_calls += mus_ws.oracle_calls
             support = tuple(sorted(set(epsilon) | {context[i] for i in mus.ids}))
-            in_h = kb_h.clause_set()
-            update = tuple(sorted(c for c in support if c not in in_h))
+            # The context lies inside kb_h and the candidates outside it.
+            update = tuple(sorted(epsilon))
         else:
             support, update = tuple(sorted(epsilon)), ()
         oracle_calls += ws.oracle_calls
         consistency_ok = None
         if problem.mode == RESTRICTED:
-            check = SatSession(total_vars)
-            for c in kept_h:
-                check.add_hard(c)
-            in_kept = set(kept_h)
-            for c in support:
-                if c not in in_kept:
-                    check.add_hard(c)
-            consistency_ok = check.solve().satisfiable
-            oracle_calls += check.solve_count
+            # Preprocessing removes only kb_h-only clauses, so the shared
+            # context survives it and support \ kept_h is the update.
+            check = SoftSolver((), hard=[*kept_h, *update], num_vars=total_vars)
+            consistency_ok = check.solve_ids(()).satisfiable
+            oracle_calls += check.oracle_calls
         return Explanation(
             support=support,
             update=update,
             removed_from_kb_h=tuple(removed),
-            iterations=len(instance) + 1,
             mcs_count=len(instance),
             oracle_calls=oracle_calls,
             elapsed=time.monotonic() - started,
@@ -237,7 +240,6 @@ def _search(problem: ReconcileProblem, timeout: float | None, *,
                 oracle_calls += session.oracle_calls
         raise ReconcileTimeout(
             f"reconciliation exceeded {timeout} seconds",
-            iterations=len(instance),
             mcs_count=len(instance),
             oracle_calls=oracle_calls,
             elapsed=time.monotonic() - started,
@@ -266,16 +268,11 @@ def verify_explanation(
     total = env + len(neg.aux_vars)
     failures: list[str] = []
 
-    session = SatSession(total)
-    for c in kb_h_clauses:
-        session.add_hard(c)
-    for c in support:
-        session.add_hard(c)
-    neg_selectors = [session.add_soft(c) for c in neg.clauses]
-    entailed = not session.solve(neg_selectors).satisfiable
+    ws = SoftSolver(neg.clauses, hard=kb_h_clauses + support, num_vars=total)
+    entailed = not ws.solve_ids(range(len(ws))).satisfiable
     if not entailed:
         failures.append("support with kb_h does not entail the query")
-    consistent = session.solve().satisfiable
+    consistent = ws.solve_ids(()).satisfiable
     if not consistent:
         failures.append("support conflicts with kb_h")
 
@@ -296,43 +293,56 @@ def serialize_explanation(expl: Explanation,
 
     With names, each clause record also lists its literals' names.
     """
-    lines = [f"explanation mode={expl.mode}"]
+    lines = [format_record("explanation", mode=expl.mode)]
     for role, clauses in (
         ("support", expl.support),
         ("update", expl.update),
         ("removed", expl.removed_from_kb_h),
     ):
         for c in clauses:
-            lits = ",".join(str(l) for l in c) if c else "-"
-            line = f"clause role={role} lits={lits}"
+            fields: dict[str, object] = {"role": role, "lits": format_lits(c)}
             if names is not None:
-                line += f" names={';'.join(names(l) for l in c)}"
-            lines.append(line)
-    lines.append(
-        "stat"
-        f" support_size={len(expl.support)}"
-        f" update_size={len(expl.update)}"
-        f" removed_size={len(expl.removed_from_kb_h)}"
-        f" iterations={expl.iterations}"
-        f" mcs_count={expl.mcs_count}"
-        f" oracle_calls={expl.oracle_calls}"
-    )
-    def flag(value: bool) -> str:
-        return "true" if value else "false"
-
+                fields["names"] = [names(l) for l in c]
+            lines.append(format_record("clause", **fields))
+    lines.append(format_record(
+        "stat",
+        support_size=len(expl.support),
+        update_size=len(expl.update),
+        removed_size=len(expl.removed_from_kb_h),
+        iterations=expl.iterations,
+        mcs_count=expl.mcs_count,
+        oracle_calls=expl.oracle_calls,
+    ))
     if expl.restricted_consistency_ok is not None:
-        lines.append(
-            f"assumption restricted_consistency_ok={flag(expl.restricted_consistency_ok)}"
-        )
+        lines.append(format_record(
+            "assumption", restricted_consistency_ok=expl.restricted_consistency_ok
+        ))
     if verification is not None:
-        lines.append(
-            "verify"
-            f" entailed={flag(verification.entailed)}"
-            f" minimal={flag(verification.minimal)}"
-            f" consistent={flag(verification.consistent)}"
-            f" ok={flag(verification.ok)}"
-        )
+        lines.append(verification.record())
     return "\n".join(lines) + "\n"
+
+
+def format_record(kind: str, /, **fields: object) -> str:
+    """One `kind key=value ...` record line: booleans true/false, floats to
+    three decimals, lists and tuples `;`-joined.  `kind` is positional-only
+    because some records have a `kind=` field."""
+    return " ".join([kind, *(f"{key}={_format_value(value)}"
+                             for key, value in fields.items())])
+
+
+def _format_value(value: object) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.3f}"
+    if isinstance(value, (list, tuple)):
+        return ";".join(str(v) for v in value)
+    return str(value)
+
+
+def format_lits(clause: Clause) -> str:
+    """A clause's literals, comma-separated; `-` for the empty clause."""
+    return ",".join(str(l) for l in clause) if clause else "-"
 
 
 def parse_explanation_records(text: str) -> dict[str, list[Clause]]:

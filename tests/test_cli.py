@@ -10,6 +10,7 @@ from mrex.cli import (
     EXIT_PARSE,
     EXIT_PREMISE,
     EXIT_TIMEOUT,
+    EXIT_USAGE,
     EXIT_VERIFY,
     main,
 )
@@ -252,6 +253,14 @@ class TestTweakCnfCommand:
         assert "trimmed=0" in out and "skipped=" in out
         assert "skip" in out
 
+    def test_empty_clause_logged_as_dash(self, tmp_path, capsys):
+        kb = tmp_path / "kb.cnf"
+        kb.write_text("p cnf 2 3\n1 2 0\n0\n-1 2 0\n")
+        code, out = run(capsys, "tweak-cnf", kb, "--scenario", "12",
+                        "--seed", "1", "--format", "records")
+        assert code == EXIT_OK
+        assert "remove index=1 lits=-" in out.splitlines()
+
     def test_scenario_out_of_range(self, tmp_path, capsys):
         kb = self._kb(tmp_path)
         code, _ = run(capsys, "tweak-cnf", kb, "--scenario", "13")
@@ -390,3 +399,32 @@ class TestEncodePlanCommand:
         assert (tmp_path / "enc.cnf.log").exists()
         map_lines = (tmp_path / "enc.cnf.map").read_text().splitlines()
         assert any(line.endswith("on(a,b)@2") for line in map_lines)
+
+
+def _single_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("command", ["tweak-cnf", "explain-plan"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, command):
+    """An --out path below a regular file ends in one error line, exit 2."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    kb = tmp_path / "kb.cnf"
+    kb.write_text("p cnf 3 2\n1 2 3 0\n-1 2 0\n")
+    inputs = {"tweak-cnf": [str(kb), "--scenario", "9"],
+              "explain-plan": [CHAIN_DOMAIN, CHAIN_PROBLEM, "--scenario", "1"]}
+    code = main([command, *inputs[command], "--out", str(blocker / "x")])
+    assert code == EXIT_USAGE
+    assert "cannot write" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["tweak-model", "explain-plan"])
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_count_below_one_rejected(capsys, command, count):
+    code = main([command, BLOCKS, SUSSMAN, "--scenario", "4", "--count", count])
+    assert code == EXIT_USAGE
+    _single_error_line(capsys)

@@ -28,37 +28,37 @@ BASE = [(1, 2), (-2, 3), (-3,), (-2, 4), (-4,)]
 
 def test_mcs_of_worked_base_with_negated_goal():
     hard = [(-3,), (5,), (-1,)]
-    res = extract_mcs(BASE, hard, num_vars=5)
+    res = extract_mcs(SoftSolver(BASE, hard, num_vars=5))
     assert res.ids in {frozenset({0}), frozenset({1, 3}), frozenset({1, 4})}
 
 
 def test_mcs_respects_seed():
     hard = [(-3,), (5,), (-1,)]
-    res = extract_mcs(BASE, hard, seed={1}, num_vars=5)
+    res = extract_mcs(SoftSolver(BASE, hard, num_vars=5), seed={1})
     assert res.ids == {0}
 
 
 def test_mcs_seed_conflict_detected():
     # seed {(-3,)} against hard (3) is already unsatisfiable
     with pytest.raises(SeedInconsistentError):
-        extract_mcs([(-3,), (1,)], [(3,)], seed={0})
+        extract_mcs(SoftSolver([(-3,), (1,)], [(3,)]), seed={0})
 
 
 def test_mcs_nothing_to_correct():
     with pytest.raises(NothingToCorrectError):
-        extract_mcs([(1,), (2,)], [(3,)])
+        extract_mcs(SoftSolver([(1,), (2,)], [(3,)]))
 
 
 def test_mus_of_worked_support_clauses():
     soft = [(-3,), (5,), (1, 2), (-2, 3)]
     hard = [(-1,)]
-    res = extract_mus(soft, hard, num_vars=5)
+    res = extract_mus(SoftSolver(soft, hard, num_vars=5))
     assert res.ids == {0, 2, 3}
 
 
 def test_mus_requires_unsat():
     with pytest.raises(NotUnsatisfiableError):
-        extract_mus([(1,), (2,)], [])
+        extract_mus(SoftSolver([(1,), (2,)], []))
 
 
 def test_enumerate_worked_base_mcses():
@@ -83,7 +83,7 @@ def test_extracted_mcs_is_among_enumerated_random():
         if not tt_satisfiable(hard, n):
             continue
         all_mcs = tt_all_mcses(soft, hard, n)
-        got = extract_mcs(soft, hard, num_vars=n)
+        got = extract_mcs(SoftSolver(soft, hard, num_vars=n))
         assert got.ids in all_mcs
 
 
@@ -95,7 +95,7 @@ def test_extracted_mus_is_among_enumerated_random():
         if not tt_satisfiable(hard, n):
             continue
         all_mus = tt_all_muses(soft, hard, n)
-        got = extract_mus(soft, hard, num_vars=n)
+        got = extract_mus(SoftSolver(soft, hard, num_vars=n))
         assert got.ids in all_mus
 
 
@@ -116,6 +116,6 @@ def test_result_kinds():
 
 def test_mcs_deterministic():
     hard = [(-3,), (5,), (-1,)]
-    a = extract_mcs(BASE, hard, num_vars=5)
-    b = extract_mcs(BASE, hard, num_vars=5)
+    a = extract_mcs(SoftSolver(BASE, hard, num_vars=5))
+    b = extract_mcs(SoftSolver(BASE, hard, num_vars=5))
     assert a == b

@@ -13,6 +13,8 @@ from mrex.reconcile import (
     ReconcileError,
     ReconcileProblem,
     ReconcileTimeout,
+    VerificationReport,
+    format_record,
     parse_explanation_records,
     preprocess_consistency,
     reconcile,
@@ -259,6 +261,42 @@ class TestDeterminismAndSerialization:
         assert rec["update"] == list(expl.update)
         assert rec["removed"] == []
         assert "verify entailed=true minimal=true consistent=true ok=true" in text
+
+    def test_record_bytes(self):
+        """The record format itself, from hand-built inputs: clause names,
+        the empty clause as `-`, the restricted-mode assumption and a
+        failing verification."""
+        expl = Explanation(
+            support=((-3,), (1, 2)), update=((1, 2),), removed_from_kb_h=((),),
+            mcs_count=2, oracle_calls=11, elapsed=0.5, mode=RESTRICTED,
+            restricted_consistency_ok=False,
+        )
+        verification = VerificationReport(
+            entailed=True, minimal=False, consistent=True,
+            failures=("support clause (-3,) is redundant",),
+        )
+        names = {1: "a", 2: "b", 3: "c"}
+        text = serialize_explanation(
+            expl, verification, lambda l: ("-" if l < 0 else "") + names[abs(l)]
+        )
+        assert text == (
+            "explanation mode=restricted\n"
+            "clause role=support lits=-3 names=-c\n"
+            "clause role=support lits=1,2 names=a;b\n"
+            "clause role=update lits=1,2 names=a;b\n"
+            "clause role=removed lits=- names=\n"
+            "stat support_size=2 update_size=1 removed_size=1 iterations=3"
+            " mcs_count=2 oracle_calls=11\n"
+            "assumption restricted_consistency_ok=false\n"
+            "verify entailed=true minimal=false consistent=true ok=false\n"
+        )
+        assert parse_explanation_records(text) == {
+            "support": [(-3,), (1, 2)], "update": [(1, 2)], "removed": [()],
+        }
+        assert format_record("error", kind="timeout", elapsed=0.25, ok=True,
+                             removed=[-1, 2]) == (
+            "error kind=timeout elapsed=0.250 ok=true removed=-1;2"
+        )
 
     def test_explanation_is_sorted(self):
         expl = reconcile(ReconcileProblem(KB_A, KB_H, QUERY_A))
