@@ -159,6 +159,11 @@ class CliError(Exception):
 
 
 def _start(config: RunConfig) -> Report:
+    if config.out:
+        # explain-plan's --out names a directory, every other one a file;
+        # a location that cannot hold it fails here, before any work.
+        out = Path(config.out)
+        _make_dir(config.out, out if config.command == "explain-plan" else out.parent)
     report = Report()
     fields: dict[str, object] = {
         "command": config.command,
@@ -175,9 +180,16 @@ def _start(config: RunConfig) -> Report:
     return report
 
 
-def _write_out(path: str, content: str) -> None:
+def _make_dir(path: str, directory: Path) -> None:
     try:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(EXIT_USAGE, f"cannot write {path}: {exc}") from exc
+
+
+def _write_out(path: str, content: str) -> None:
+    _make_dir(path, Path(path).parent)
+    try:
         Path(path).write_text(content)
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot write {path}: {exc}") from exc
@@ -287,11 +299,14 @@ def cmd_verify(config: RunConfig) -> tuple[Report, int]:
     removed = set(roles.get("removed", []))
     kept = [c for c in kb_h.clauses if c not in removed]
     verification = verify_explanation(kept, support, query)
+    first = len(report.records)
     report.raw_record(verification.record())
     for failure in verification.failures:
         report.record("failure", check=failure)
         report.text(f"failed: {failure}")
     report.text(f"verification: {'ok' if verification.ok else 'FAILED'}")
+    if config.out:
+        _write_out(config.out, "\n".join(report.records[first:]) + "\n")
     return report, EXIT_OK if verification.ok else EXIT_VERIFY
 
 

@@ -1,30 +1,43 @@
 """Exact minimum-cardinality hitting sets over collections of clause-id sets.
 
-Each set is stored as a Python ``int`` with one bit per element id.  A
-singleton is a mask with ``m & (m - 1) == 0``, a subset test is
-``k & m == k``, the sets an element hits are those with its bit, and a
-group of sets is connected when the masks reachable from one of them,
-merged, cover the group's union.
+Each set is stored as a Python ``int`` with one bit per element.  Element
+ids get bits densely, in order of first appearance, so a mask is as wide
+as the number of distinct ids, not as the largest id.  A singleton is a
+mask with ``m & (m - 1) == 0``, a subset test is ``k & m == k``, the sets
+an element hits are those with its bit, and a group of sets is connected
+when the masks reachable from one of them, merged, cover the group's
+union.
 
 One capped branch-and-bound search, ``_opt(sets, cap, floor)``, answers
 every question the solver asks.  It returns the exact optimum when that is
 at most ``cap``, and otherwise a proven lower bound above ``cap``; ``floor``
 is a lower bound the caller already holds, and the search stops as soon as
-it finds a hitting set that small.  The reductions are exact: supersets of
-other members are dropped once, up front; singleton sets force their
-element; element-disjoint groups are solved apart, their optima add, and
-each group's cap is what the others' packing bounds leave; and a greedy
-packing of pairwise-disjoint sets bounds every branch from below.  A
-branch takes one element of a smallest set, most frequent first, and the
+it finds a hitting set that small.  The reductions keep the optimum size:
+
+- supersets of other members are dropped, up front and whenever deleting
+  elements makes new ones;
+- singleton sets force their element;
+- element domination (Weihe, "Covering Trains by Stations or the Power of
+  Data Reduction", ALEX 1998) deletes an element when another element lies
+  in every set that holds it, at every node, until nothing changes;
+- element-disjoint groups are solved apart, their optima add, and each
+  group's cap is what the others' packing bounds leave;
+- a greedy packing of pairwise-disjoint sets bounds every branch from
+  below.
+
+A branch takes one element of a smallest set, most frequent first, and the
 child inherits its parent's lower bound minus one.
 
-``min_hitting_set`` first finds the optimum of each group, then rebuilds
-the lexicographically smallest optimum (by sorted element order) in
-ascending element order: a candidate is kept when the sets it leaves
-unhit still have a hitting set of the remaining size ``t``, which is one
-bounded question, ``_opt(rest, cap=t, floor=t) == t``.  The smallest
-optimum is unique, so the search order does not change the answer, and
-repeated runs are byte-for-byte reproducible.
+Domination can delete a member of the lexicographically smallest optimum,
+so ``_opt`` returns sizes only.  ``min_hitting_set`` first finds the
+optimum of each group, then rebuilds the lexicographically smallest
+optimum (by sorted element id) over the original sets, trying the
+elements in ascending id order: a candidate is kept when the sets it
+leaves unhit still have a hitting set of the remaining size ``t``, which
+is one bounded question, ``_opt(rest, cap=t, floor=t) == t``.  The
+smallest optimum is unique, so neither the search order nor the bit
+numbering changes the answer, and repeated runs are byte-for-byte
+reproducible.
 
 Two memos live on the instance, keyed by the sorted masks of a
 subproblem, and carry work across the incremental use pattern (add one
@@ -46,7 +59,7 @@ SetsKey = tuple[int, ...]
 
 
 def _bits(mask: int) -> Iterator[int]:
-    """Element ids of a mask, ascending."""
+    """Bits of a mask, ascending."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -54,35 +67,44 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 class HittingSetInstance:
-    """Growing collection of nonempty sets of non-negative element ids.
+    """Growing collection of nonempty sets of integer element ids.
 
+    Each element id gets the next free bit when it first appears (a set's
+    new ids in ascending order), and ``ids`` maps bits back to ids; the
+    numbering never changes, so the memos stay valid as sets are added.
     ``nodes`` counts the capped searches entered over the instance's life;
     it is deterministic for identical instances and call sequences.
     """
 
     def __init__(self, sets: Iterable[Iterable[int]] = ()):
         self.masks: list[int] = []
+        self.ids: list[int] = []
+        self._bit: dict[int, int] = {}
         self.nodes = 0
         self._exact: dict[SetsKey, int] = {}
         self._lower: dict[SetsKey, int] = {}
+        self._bit_tuples: dict[int, tuple[int, ...]] = {}
         for s in sets:
             self.add_set(s)
 
     def add_set(self, elements: Iterable[int]) -> None:
         mask = 0
-        for e in elements:
-            mask |= 1 << e
+        for e in sorted(set(elements)):
+            bit = self._bit.get(e)
+            if bit is None:
+                bit = self._bit[e] = len(self.ids)
+                self.ids.append(e)
+            mask |= 1 << bit
         if not mask:
             raise ValueError("an empty set admits no hitting set")
         self.masks.append(mask)
 
-    @property
-    def sets(self) -> list[frozenset[int]]:
-        return [frozenset(_bits(m)) for m in self.masks]
-
-    @property
-    def universe(self) -> frozenset[int]:
-        return frozenset(_bits(reduce(or_, self.masks, 0)))
+    def _members(self, mask: int) -> tuple[int, ...]:
+        """Bits of a mask, ascending; cached, since subproblems share sets."""
+        bits = self._bit_tuples.get(mask)
+        if bits is None:
+            bits = self._bit_tuples[mask] = tuple(_bits(mask))
+        return bits
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -93,7 +115,10 @@ def _minimal_sets(masks: Iterable[int]) -> list[int]:
     unchanged."""
     kept: list[int] = []
     for m in sorted(set(masks), key=lambda x: (x.bit_count(), x)):
-        if all(k & m != k for k in kept):
+        for k in kept:
+            if k & m == k:
+                break
+        else:
             kept.append(m)
     return kept
 
@@ -147,6 +172,38 @@ def _packing_bound(sets: list[int]) -> int:
     return count
 
 
+def _undominated(
+    inst: HittingSetInstance, sets: list[int]
+) -> tuple[int, list[int]]:
+    """Element domination to a fixed point; the optimum size is unchanged.
+
+    An element is dominated when another live element lies in every set
+    that holds it: a hitting set can swap the first for the second.  The
+    sets holding an element, ANDed together, give the elements that lie in
+    all of them, so one pass over the members finds every dominated
+    element; scanning ascending keeps one of any elements with equal sets.
+    Deleting elements can make sets supersets of others or singletons, so
+    supersets are dropped and singletons forced until nothing changes.
+    Returns the forced elements as a mask and the reduced sets."""
+    forced = 0
+    while sets:
+        union = reduce(or_, sets)
+        meet = dict.fromkeys(_bits(union), -1)
+        for m in sets:
+            for e in inst._members(m):
+                meet[e] &= m
+        live = union
+        for e, common in meet.items():
+            bit = 1 << e
+            if common & live & ~bit:
+                live ^= bit
+        if live == union:
+            break
+        units, sets = _forced_units(_minimal_sets(m & live for m in sets))
+        forced |= units
+    return forced, sets
+
+
 def _opt(
     inst: HittingSetInstance,
     sets: list[int],
@@ -177,11 +234,18 @@ def _opt(
     lower = max(floor, inst._lower.get(key, 0))
     if lower > cap:
         return lower
-    components = _components(rest)
-    if len(components) > 1:
-        value = _opt_split(inst, components, cap, cancel)
+    forced, rest = _undominated(inst, rest)
+    k = forced.bit_count()
+    if k > cap or not rest:
+        value = k
     else:
-        value = _opt_branch(inst, rest, cap, max(lower, _packing_bound(rest)), cancel)
+        components = _components(rest)
+        if len(components) > 1:
+            value = k + _opt_split(inst, components, cap - k, cancel)
+        else:
+            value = k + _opt_branch(
+                inst, rest, cap - k, max(lower - k, _packing_bound(rest)), cancel
+            )
     if value <= cap:
         inst._exact[key] = value
     else:
@@ -242,25 +306,27 @@ def _opt_branch(
 def _lex_smallest(
     inst: HittingSetInstance, sets: list[int], cancel: Cancel | None
 ) -> list[int]:
-    """Lexicographically smallest optimum of one component: grow the answer
-    in ascending element order, keeping each candidate that still allows an
-    optimal completion of what remains."""
+    """Bits of the lexicographically smallest optimum of one component:
+    try the elements in ascending id order, keeping each one that still
+    allows an optimal completion of the sets it leaves unhit."""
     need = _opt(inst, sets, len(sets), 0, cancel)
     chosen: list[int] = []
     remaining = sets
-    after = -1
-    while remaining:
+    union = reduce(or_, sets)
+    for b in sorted(_bits(union), key=inst.ids.__getitem__):
+        if not remaining:
+            break
+        bit = 1 << b
+        if not union & bit:
+            continue
         t = need - len(chosen) - 1
-        for e in _bits(reduce(or_, remaining) >> (after + 1) << (after + 1)):
-            bit = 1 << e
-            rest = [m for m in remaining if not m & bit]
-            if _opt(inst, rest, t, t, cancel) == t:
-                chosen.append(e)
-                remaining = rest
-                after = e
-                break
-        else:  # pragma: no cover - the optimum guarantees progress
-            raise AssertionError("lexicographic reconstruction failed")
+        rest = [m for m in remaining if not m & bit]
+        if _opt(inst, rest, t, t, cancel) == t:
+            chosen.append(b)
+            remaining = rest
+            union = reduce(or_, rest, 0)
+    if remaining:  # pragma: no cover - the optimum guarantees progress
+        raise AssertionError("lexicographic reconstruction failed")
     return chosen
 
 
@@ -275,7 +341,7 @@ def min_hitting_set(
     """
     sets = _minimal_sets(instance.masks)
     forced, rest = _forced_units(sets)
-    chosen = set(_bits(forced))
+    chosen = list(_bits(forced))
     for component in _components(rest):
-        chosen.update(_lex_smallest(instance, component, cancel))
-    return frozenset(chosen)
+        chosen += _lex_smallest(instance, component, cancel)
+    return frozenset(instance.ids[b] for b in chosen)

@@ -223,6 +223,16 @@ def tt_all_mcses(soft: Sequence[Clause], hard: Sequence[Clause], num_vars: int) 
     return out
 
 
+def mask_ids(instance, mask: int) -> frozenset[int]:
+    """Element ids of a HittingSetInstance mask, through its bit -> id list."""
+    return frozenset(instance.ids[b] for b in range(mask.bit_length()) if mask >> b & 1)
+
+
+def instance_sets(instance) -> list[frozenset[int]]:
+    """The element-id sets of a HittingSetInstance, read from its masks."""
+    return [mask_ids(instance, m) for m in instance.masks]
+
+
 def all_minimal_hitting_sets(sets: Iterable[frozenset[int]]) -> set[frozenset[int]]:
     """Brute force over subsets of the union universe."""
     sets = list(sets)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import mrex.cli
 from mrex.cli import (
     EXIT_CAP,
     EXIT_OK,
@@ -140,6 +141,23 @@ class TestVerifyCommand:
                         "--format", "records")
         assert code == EXIT_OK
         assert "verify entailed=true minimal=true consistent=true ok=true" in out
+
+    def test_out_writes_verify_and_failure_records(self, worked, tmp_path, capsys):
+        kb_a, kb_h, query = worked
+        expl = tmp_path / "expl.records"
+        run(capsys, "reconcile", kb_a, kb_h, "--query", query, "--out", expl)
+        padded = tmp_path / "padded.records"
+        padded.write_text(expl.read_text() + "clause role=support lits=-2,4\n")
+        for name, code_wanted in ((expl, EXIT_OK), (padded, EXIT_VERIFY)):
+            out_file = tmp_path / "verify" / (name.name + ".out")
+            code, out = run(capsys, "verify", kb_h, name, "--query", query,
+                            "--out", out_file, "--format", "records")
+            assert code == code_wanted
+            written = out_file.read_text().splitlines()
+            assert written[0].startswith("verify ")
+            assert written == [l for l in out.splitlines()
+                               if l.startswith(("verify ", "failure "))]
+        assert any(l.startswith("failure ") for l in written)
 
     def test_dropped_clause_fails_entailment(self, worked, tmp_path, capsys):
         kb_a, kb_h, query = worked
@@ -409,8 +427,14 @@ def _single_error_line(capsys) -> str:
 
 
 @pytest.mark.parametrize("command", ["tweak-cnf", "explain-plan"])
-def test_unwritable_out_is_usage_error(tmp_path, capsys, command):
-    """An --out path below a regular file ends in one error line, exit 2."""
+def test_unwritable_out_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    """An --out path below a regular file ends in one error line, exit 2,
+    before any search, tweak or reconcile starts."""
+    def work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("optimal_plan_search", "tweak_model", "reconcile", "tweak_cnf"):
+        monkeypatch.setattr(mrex.cli, name, work)
     blocker = tmp_path / "file"
     blocker.write_text("")
     kb = tmp_path / "kb.cnf"

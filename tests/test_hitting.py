@@ -4,9 +4,14 @@ import random
 
 import pytest
 
-from mrex.hitting import HittingSetInstance, min_hitting_set
+from mrex.hitting import HittingSetInstance, _undominated, min_hitting_set
 
-from oracles import all_minimal_hitting_sets, brute_min_hitting_set_size
+from oracles import (
+    all_minimal_hitting_sets,
+    brute_min_hitting_set_size,
+    instance_sets,
+    mask_ids,
+)
 
 
 def test_no_sets_empty_answer():
@@ -33,8 +38,9 @@ def test_chain_example_lexicographic_optimum():
     inst = HittingSetInstance([{1, 2}, {2, 3}, {3, 4}])
     got = min_hitting_set(inst)
     assert got == {1, 3}
-    assert len(got) == brute_min_hitting_set_size(inst.sets)
-    assert got == min(all_minimal_hitting_sets(inst.sets), key=lambda s: sorted(s))
+    assert len(got) == brute_min_hitting_set_size(instance_sets(inst))
+    assert got == min(all_minimal_hitting_sets(instance_sets(inst)),
+                      key=lambda s: sorted(s))
 
 
 def test_duplicate_and_superset_sets_ignored():
@@ -52,7 +58,7 @@ def test_fresh_singleton_grows_optimum_by_one():
             size = rng.randint(1, 3)
             inst.add_set(rng.sample(universe, min(size, len(universe))))
         before = min_hitting_set(inst)
-        fresh = max(inst.universe) + 1
+        fresh = max(e for s in instance_sets(inst) for e in s) + 1
         inst.add_set({fresh})
         after = min_hitting_set(inst)
         assert len(after) == len(before) + 1
@@ -82,9 +88,9 @@ def test_exactness_against_brute_force_random():
             size = rng.randint(1, min(4, n_universe))
             inst.add_set(rng.sample(universe, size))
         got = min_hitting_set(inst)
-        assert all(got & s for s in inst.sets)
-        assert len(got) == brute_min_hitting_set_size(inst.sets)
-        minimal = all_minimal_hitting_sets(inst.sets)
+        assert all(got & s for s in instance_sets(inst))
+        assert len(got) == brute_min_hitting_set_size(instance_sets(inst))
+        minimal = all_minimal_hitting_sets(instance_sets(inst))
         smallest = min(len(s) for s in minimal)
         lex = min((s for s in minimal if len(s) == smallest), key=lambda s: sorted(s))
         assert got == lex
@@ -97,7 +103,7 @@ def test_solution_must_cover_every_set():
         for _ in range(rng.randint(1, 8)):
             inst.add_set(rng.sample(range(1, 15), rng.randint(1, 4)))
         got = min_hitting_set(inst)
-        for s in inst.sets:
+        for s in instance_sets(inst):
             assert got & s
 
 
@@ -116,8 +122,8 @@ def test_zero_based_random_universe():
         for _ in range(rng.randint(1, 8)):
             inst.add_set(rng.sample(range(0, 9), rng.randint(1, 3)))
         got = min_hitting_set(inst)
-        assert all(got & s for s in inst.sets)
-        assert len(got) == brute_min_hitting_set_size(inst.sets)
+        assert all(got & s for s in instance_sets(inst))
+        assert len(got) == brute_min_hitting_set_size(instance_sets(inst))
 
 
 def _lex_smallest_minimum(sets):
@@ -141,7 +147,88 @@ def test_reconcile_growth_pattern_matches_brute_force():
                 break
             inst.add_set(rng.sample(free, rng.randint(1, min(3, len(free)))))
             answer = min_hitting_set(inst)
-            assert answer == _lex_smallest_minimum(inst.sets), inst.sets
+            assert answer == _lex_smallest_minimum(instance_sets(inst)), instance_sets(inst)
+
+
+def test_large_ids_get_dense_bits():
+    rng = random.Random(10_000)
+    ids = [10_000 + 97 * i for i in range(14)]
+    sets = [rng.sample(ids, rng.randint(1, 4)) for _ in range(9)]
+    inst = HittingSetInstance(sets)
+    distinct = len(set().union(*sets))
+    assert max(m.bit_length() for m in inst.masks) <= distinct
+    assert min_hitting_set(inst) == _lex_smallest_minimum(map(frozenset, sets))
+
+
+def test_sets_added_against_id_order_give_lex_minimum():
+    # later sets hold smaller ids, so bit order runs against id order
+    inst = HittingSetInstance([{8, 9}, {6, 7}, {4, 9}, {2, 7}, {0, 5}])
+    assert inst.ids == [8, 9, 6, 7, 4, 2, 0, 5]
+    assert min_hitting_set(inst) == {0, 7, 9}
+    rng = random.Random(606)
+    for _ in range(80):
+        universe = list(range(rng.randint(3, 11)))
+        sets = [rng.sample(universe, rng.randint(1, 3))
+                for _ in range(rng.randint(1, 8))]
+        sets.sort(key=min, reverse=True)
+        got = min_hitting_set(HittingSetInstance(sets))
+        assert got == _lex_smallest_minimum(map(frozenset, sets)), sets
+
+
+def test_domination_deletes_a_member_of_the_lex_smallest_optimum():
+    # 5 lies in every set holding 1, and 6 in every set holding 2: the
+    # reduction deletes 1 and 2 and forces 5 and 6, which fixes the size,
+    # while the answer is still the lexicographically smallest optimum
+    inst = HittingSetInstance([{1, 5}, {2, 6}])
+    forced, rest = _undominated(inst, inst.masks)
+    assert rest == [] and mask_ids(inst, forced) == {5, 6}
+    assert min_hitting_set(inst) == {1, 2}
+    assert min_hitting_set(inst) == _lex_smallest_minimum(instance_sets(inst))
+
+
+def test_forced_elements_count_when_the_rest_splits():
+    # 9 dominates 10, so {9, 10} shrinks to {9}; forcing 9 hits {1, 4, 9}
+    # and leaves two separate triangles, each needing two elements
+    inst = HittingSetInstance(
+        [{1, 2}, {2, 3}, {1, 3}, {4, 5}, {5, 6}, {4, 6}, {1, 4, 9}, {9, 10}]
+    )
+    forced, rest = _undominated(inst, inst.masks)
+    assert mask_ids(inst, forced) == {9} and len(rest) == 6
+    got = min_hitting_set(inst)
+    assert len(got) == brute_min_hitting_set_size(instance_sets(inst)) == 5
+    assert got == _lex_smallest_minimum(instance_sets(inst))
+
+
+def _nested_column_family(rng):
+    """Sets over a few base ids, plus ids that each lie in some of the sets
+    holding an existing id, so their sets nest inside its sets."""
+    pool = list(range(40))
+    base = rng.sample(pool, rng.randint(3, 6))
+    sets = [set(rng.sample(base, rng.randint(1, 3)))
+            for _ in range(rng.randint(2, 8))]
+    for extra in rng.sample([e for e in pool if e not in base], rng.randint(1, 5)):
+        host = rng.choice(sorted(set().union(*sets)))
+        holders = [s for s in sets if host in s]
+        for s in rng.sample(holders, rng.randint(1, len(holders))):
+            s.add(extra)
+    rng.shuffle(sets)
+    return [sorted(s) for s in sets]
+
+
+def test_domination_against_brute_force_on_nested_columns():
+    rng = random.Random(1998)
+    fired = 0
+    for _ in range(120):
+        sets = _nested_column_family(rng)
+        inst = HittingSetInstance()
+        for s in sets:
+            inst.add_set(s)
+            got = min_hitting_set(inst)
+            family = instance_sets(inst)
+            assert len(got) == brute_min_hitting_set_size(family)
+            assert got == _lex_smallest_minimum(family), family
+        fired += _undominated(inst, inst.masks) != (0, inst.masks)
+    assert fired > 100
 
 
 class _Abort(Exception):
