@@ -4,12 +4,20 @@ A session owns a growing set of hard clauses plus soft clauses guarded by
 selector variables, so callers can switch clause subsets on and off between
 solves without rebuilding.  Solving is deterministic: identical session
 histories produce identical answers, models, and conflict subsets.
+
+Each decision branches on the unassigned variable of largest VSIDS activity,
+the smallest variable among ties.  The variable order is one list of all
+variables sorted by (-activity, var) with a cursor below which every
+variable is assigned, in the spirit of MiniSat's order (Een & Sorensson,
+"An Extensible SAT-solver", SAT 2003): backtracking only lowers the cursor,
+and bumping an activity marks the list for one re-sort before the next
+decision, so the order never holds more than num_vars entries.  Restarts
+follow the Luby sequence in units of 256 conflicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 # When True every SAT answer is audited clause-by-clause against the
@@ -48,7 +56,7 @@ def _luby(i: int) -> int:
     while (1 << (k + 1)) - 1 <= i:
         k += 1
     while (1 << k) - 1 != i:
-        i = i - (1 << (k - 1)) + 1
+        i = i - (1 << k) + 1
         k = 1
         while (1 << (k + 1)) - 1 <= i:
             k += 1
@@ -65,7 +73,13 @@ class SatSession:
         self._reason: list[list[int] | None] = [None]
         self._phase: list[bool] = [False]
         self._activity: list[float] = [0.0]
-        self._order: list[tuple[float, int]] = []  # (-activity, var)
+        # Variables sorted by (-activity, var); _rank[v] is v's position and
+        # every variable ranked below _next is assigned.  _bump only marks
+        # the order stale and the next _pick_branch re-sorts it.
+        self._order: list[int] = []
+        self._rank: list[int] = [0]
+        self._next = 0
+        self._stale = False
         self._watches: dict[int, list[list[int]]] = {}
         self._learnts: list[list[int]] = []
         self._n_problem_clauses = 0
@@ -77,6 +91,8 @@ class SatSession:
         self._hard_audit: list[tuple[int, ...]] = []
         self._soft_audit: dict[int, tuple[int, ...]] = {}
         self.solve_count = 0
+        self.conflicts = 0
+        self.decisions = 0
         for _ in range(num_vars):
             self.new_var()
 
@@ -92,7 +108,9 @@ class SatSession:
         self._reason.append(None)
         self._phase.append(False)
         self._activity.append(0.0)
-        heappush(self._order, (-0.0, v))
+        # zero activity and the largest index: last in (-activity, var) order
+        self._rank.append(len(self._order))
+        self._order.append(v)
         return v
 
     def _grow_to(self, clause: Sequence[int]) -> None:
@@ -221,31 +239,32 @@ class SatSession:
         bound = self._trail_lim[level]
         trail = self._trail
         assign = self._assign
-        order = self._order
-        activity = self._activity
+        phase = self._phase
+        reason = self._reason
+        rank = self._rank
+        nxt = self._next
         for idx in range(len(trail) - 1, bound - 1, -1):
             lit = trail[idx]
             v = lit if lit > 0 else -lit
-            self._phase[v] = lit > 0
+            phase[v] = lit > 0
             assign[v] = 0
-            self._reason[v] = None
-            heappush(order, (-activity[v], v))
+            reason[v] = None
+            if rank[v] < nxt:
+                nxt = rank[v]
+        self._next = nxt
         del trail[bound:]
         del self._trail_lim[level:]
         self._qhead = bound
 
     def _bump(self, v: int) -> None:
-        self._activity[v] += self._var_inc
-        if self._activity[v] > 1e100:
+        activity = self._activity
+        activity[v] += self._var_inc
+        self._stale = True
+        if activity[v] > 1e100:
             scale = 1e-100
             for u in range(1, self._nvars + 1):
-                self._activity[u] *= scale
+                activity[u] *= scale
             self._var_inc *= scale
-            self._order = [(-self._activity[u], u) for u in range(1, self._nvars + 1)
-                           if self._assign[u] == 0]
-            heapify(self._order)
-        else:
-            heappush(self._order, (-self._activity[v], v))
 
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         """1UIP conflict analysis; returns (learnt clause, backtrack level)."""
@@ -319,17 +338,25 @@ class SatSession:
         return frozenset(out)
 
     def _pick_branch(self) -> int:
+        """The unassigned variable of largest activity, the smallest one
+        among ties; 0 when every variable is assigned."""
         order = self._order
+        if self._stale:
+            # a stable sort keeps tied activities in ascending variable order
+            order[:] = sorted(range(1, self._nvars + 1),
+                              key=self._activity.__getitem__, reverse=True)
+            rank = self._rank
+            for i, v in enumerate(order):
+                rank[v] = i
+            self._stale = False
+            self._next = 0
         assign = self._assign
-        activity = self._activity
-        while order:
-            negact, v = order[0]
-            if assign[v] != 0 or -negact != activity[v]:
-                heappop(order)
-                continue
-            heappop(order)
-            return v
-        return 0
+        i = self._next
+        n = len(order)
+        while i < n and assign[order[i]] != 0:
+            i += 1
+        self._next = i
+        return order[i] if i < n else 0
 
     def _record_learnt(self, learnt: list[int]) -> None:
         if len(learnt) == 1:
@@ -354,6 +381,11 @@ class SatSession:
         self._learnts = new_learnts
 
     def solve(self, assumptions: Iterable[int] = ()) -> SolveResult:
+        aset = set(assumptions)
+        for a in aset:
+            if a == 0 or abs(a) > self._nvars:
+                raise SolverUsageError(f"assumption {a} references an unregistered variable")
+        assumps = sorted(aset)
         self.solve_count += 1
         if self._trail_lim:
             self._cancel_until(0)
@@ -361,11 +393,7 @@ class SatSession:
             self._ok = False
         if not self._ok:
             return SolveResult(False, conflict_subset=frozenset())
-        assumps = sorted(set(assumptions))
-        aset = set(assumps)
         for a in assumps:
-            if a == 0 or abs(a) > self._nvars:
-                raise SolverUsageError(f"assumption {a} references an unregistered variable")
             if -a in aset:
                 return SolveResult(False, conflict_subset=frozenset((a, -a)))
 
@@ -376,6 +404,7 @@ class SatSession:
         while True:
             confl = self._propagate()
             if confl is not None:
+                self.conflicts += 1
                 if not self._trail_lim:
                     self._ok = False
                     return SolveResult(False, conflict_subset=frozenset())
@@ -413,6 +442,7 @@ class SatSession:
                         self._audit(model, aset)
                     self._cancel_until(0)
                     return SolveResult(True, model=model)
+                self.decisions += 1
                 self._trail_lim.append(len(self._trail))
                 self._enqueue(v if self._phase[v] else -v, None)
 

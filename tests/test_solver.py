@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
-from mrex.solver import SatSession, SolverUsageError
+from mrex.solver import SatSession, SolverUsageError, _luby
 
 from oracles import random_cnf, tt_satisfiable
 
@@ -66,6 +67,14 @@ def test_unregistered_assumption_raises():
     s = SatSession(1)
     with pytest.raises(SolverUsageError):
         s.solve([5])
+    # every assumption is checked before the contradiction check ...
+    with pytest.raises(SolverUsageError):
+        SatSession(2).solve([1, -1, 99])
+    # ... and before a session that is unsat at the root answers
+    s.add_hard(())
+    assert not s.solve().satisfiable
+    with pytest.raises(SolverUsageError):
+        s.solve([99])
 
 
 def test_contradictory_assumptions():
@@ -205,3 +214,110 @@ def test_larger_pigeonhole_unsat():
             for p2 in range(p1 + 1, 4):
                 s.add_hard((-(p1 * 3 + h + 1), -(p2 * 3 + h + 1)))
     assert not s.solve().satisfiable
+
+
+def test_luby_sequence():
+    assert [_luby(i) for i in range(1, 16)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+
+
+def _random_3sat(seed: int, num_vars: int, num_clauses: int) -> list[tuple[int, ...]]:
+    """Clauses of three distinct variables, sorted by variable as the
+    DIMACS reader stores them."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(num_clauses):
+        lits = [v if rng.random() >= 0.5 else -v
+                for v in rng.sample(range(1, num_vars + 1), 3)]
+        out.append(tuple(sorted(lits, key=abs)))
+    return out
+
+
+def test_solve_survives_a_restart():
+    # the first restart comes after 256 conflicts; this solve needs more
+    s = SatSession(90)
+    for c in _random_3sat(1, 90, 383):
+        s.add_hard(c)
+    assert s.solve().satisfiable
+    assert s.conflicts > 256
+    assert s.decisions > 0
+
+
+def test_pick_branch_matches_brute_force():
+    """Every decision takes the unassigned variable of largest activity,
+    the smallest one among ties, also across a 1e100 rescale."""
+    rng = random.Random(31)
+    picks = conflicts = 0
+    for k in range(10):
+        n = rng.randint(15, 40)
+        s = SatSession(n)
+        if k == 0:
+            s._var_inc = 1e99
+        pick = s._pick_branch
+
+        def checked(s=s, pick=pick):
+            nonlocal picks
+            free = [(-s._activity[v], v) for v in range(1, s.num_vars + 1)
+                    if s._assign[v] == 0]
+            v = pick()
+            assert v == (min(free)[1] if free else 0)
+            assert len(s._order) == s.num_vars
+            picks += 1
+            return v
+
+        s._pick_branch = checked
+        sels = [s.add_soft(c) for c in random_cnf(rng, n, 13 * n) if len(c) == 3]
+        for step in range(15):
+            if step % 5 == 4:
+                s.add_hard(random_cnf(rng, n, 1)[0])
+            p = rng.choice((0.5, 0.7, 0.9))
+            chosen = [x for x in sels if rng.random() < p]
+            chosen += [v if rng.random() < 0.5 else -v
+                       for v in rng.sample(range(1, n + 1), 2)]
+            s.solve(chosen)
+        conflicts += s.conflicts
+        if k == 0:
+            assert s._var_inc < 1e50  # the rescale ran
+    assert picks > 3000 and conflicts > 300
+
+
+def test_tied_activities_pick_the_smallest_variable():
+    s = SatSession(3)
+    s._bump(2)
+    assert s._pick_branch() == 2
+    s._bump(1)  # same increment: 1 and 2 tie, and 1 now ranks first
+    assert s._pick_branch() == 1
+    assert s._order == [1, 2, 3]
+
+
+def _clause3(rng: random.Random, n: int) -> tuple[int, ...]:
+    return tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+
+
+def test_golden_digest_of_incremental_solves():
+    """Models and conflict subsets of a fixed sequence of incremental
+    solves, each under the 256 conflicts of the first restart.  A change to
+    any decision the solver makes changes the digest."""
+    rng = random.Random(7)
+    h = hashlib.sha256()
+    for k in range(13):
+        n = rng.randint(20, 40)
+        s = SatSession(n)
+        if k == 12:
+            s._var_inc = 1e99  # reaches the 1e100 rescale
+        for _ in range(2 * n):
+            s.add_hard(_clause3(rng, n))
+        sels = [s.add_soft(_clause3(rng, n)) for _ in range(3 * n)]
+        for step in range(12):
+            if step % 4 == 3:
+                s.add_hard(_clause3(rng, n))
+            chosen = [x for x in sels if rng.random() < 0.7]
+            chosen += [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+            before = s.conflicts
+            r = s.solve(chosen)
+            assert s.conflicts - before < 256
+            if r.satisfiable:
+                line = "sat " + "".join("1" if b else "0" for b in r.model[1:])
+            else:
+                line = "unsat " + " ".join(map(str, sorted(r.conflict_subset)))
+            h.update(line.encode() + b"\n")
+    assert h.hexdigest() == "f5c66999825f48ed651e324c2e1d50fae5ccb96b52111d9de85ed0b69e0ee4ef"
