@@ -11,7 +11,7 @@ config) triple; wall-clock readings appear only on lines starting with
 Exit codes:
   0   success
   2   command-line usage error (argparse, a non-positive --timeout or
-      --count, an --out path that cannot be written)
+      --count, a negative --k or --horizon, an unwritable --out path)
   10  input could not be parsed (DIMACS, PDDL, query, plan, explanation)
   11  premise violation (kb_a unsatisfiable / does not entail the query,
       unsatisfiable backbone input, empty backbone)
@@ -90,6 +90,11 @@ DEFAULT_TIMEOUT = 1500.0
 TWEAK_CNF_RATES = {9: 0.1, 10: 0.2, 11: 0.3, 12: 0.4}
 TRIM_RATE = 0.2
 
+# --mode and --timeout configure the search; --seed goes to every subcommand
+# that draws at random, and to reconcile, whose callers pass it.
+SEARCHING = ("reconcile", "explain-plan")
+SEEDED = ("reconcile", "explain-plan", "tweak-cnf", "tweak-model", "backbone")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -115,6 +120,10 @@ class RunConfig:
             raise ValueError("time limit must be positive")
         if self.count < 1:
             raise ValueError("removal count must be at least 1")
+        if self.k < 0:
+            raise ValueError("sample size k must be nonnegative")
+        if self.horizon is not None and self.horizon < 0:
+            raise ValueError("horizon must be nonnegative")
 
 
 @dataclass
@@ -165,18 +174,19 @@ def _start(config: RunConfig) -> Report:
         out = Path(config.out)
         _make_dir(config.out, out if config.command == "explain-plan" else out.parent)
     report = Report()
-    fields: dict[str, object] = {
-        "command": config.command,
-        "seed": config.seed,
-        "mode": config.mode,
-        "timeout": config.timeout,
-    }
+    fields: dict[str, object] = {"command": config.command}
+    if config.command in SEEDED:
+        fields["seed"] = config.seed
+    if config.command in SEARCHING:
+        fields["mode"] = config.mode
+        fields["timeout"] = config.timeout
     if config.scenario is not None:
         fields["scenario"] = config.scenario
     if config.horizon is not None:
         fields["horizon"] = config.horizon
     report.record("run", **fields)
-    report.text(f"{config.command}: seed={config.seed} mode={config.mode}")
+    report.text(f"{config.command}:" + "".join(
+        f" {key}={fields[key]}" for key in ("seed", "mode") if key in fields))
     return report
 
 
@@ -613,22 +623,22 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name: str, **kwargs) -> argparse.ArgumentParser:
         # An option left out stays off the namespace, so RunConfig's
         # default applies: each default is written once.
-        return sub.add_parser(name, argument_default=argparse.SUPPRESS, **kwargs)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--mode", choices=[GENERAL, RESTRICTED],
-                       help="where support clauses may come from")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--timeout", type=float,
-                       help=f"time limit in seconds (default {DEFAULT_TIMEOUT:g})")
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS, **kwargs)
+        if name in SEARCHING:
+            p.add_argument("--mode", choices=[GENERAL, RESTRICTED],
+                           help="where support clauses may come from")
+            p.add_argument("--timeout", type=float,
+                           help=f"time limit in seconds (default {DEFAULT_TIMEOUT:g})")
+        if name in SEEDED:
+            p.add_argument("--seed", type=int)
         p.add_argument("--format", dest="fmt", choices=["text", "records"])
         p.add_argument("--out", help="output path")
+        return p
 
     p = add("reconcile", help="explain a query to a CNF kb_h")
     p.add_argument("kb_a")
     p.add_argument("kb_h")
     p.add_argument("--query", required=True)
-    common(p)
 
     p = add("explain-plan", help="explain plan optimality to a perturbed model")
     p.add_argument("domain")
@@ -637,38 +647,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int,
                    help="removals per action/state for scenarios 4 and 6")
     p.add_argument("--plan", help="plan file (default: search for an optimal plan)")
-    common(p)
     p.set_defaults(mode=RESTRICTED)
 
     p = add("tweak-cnf", help="perturb a CNF knowledge base")
     p.add_argument("kb")
     p.add_argument("--scenario", type=int, choices=range(9, 13), required=True)
-    common(p)
 
     p = add("tweak-model", help="perturb a grounded planning model")
     p.add_argument("domain")
     p.add_argument("problem")
     p.add_argument("--scenario", type=int, choices=range(1, 9), required=True)
     p.add_argument("--count", type=int)
-    common(p)
 
     p = add("backbone", help="derive a backbone-literal query")
     p.add_argument("kb")
     p.add_argument("--k", type=int, help="sample size (0 = all backbone literals)")
-    common(p)
 
     p = add("verify", help="check an explanation file")
     p.add_argument("kb_h")
     p.add_argument("explanation")
     p.add_argument("--query", required=True)
-    common(p)
 
     p = add("encode-plan", help="write a bounded planning encoding")
     p.add_argument("domain")
     p.add_argument("problem")
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--include-goal", action="store_true")
-    common(p)
     return parser
 
 

@@ -213,7 +213,12 @@ def _opt(
 ) -> int:
     """Minimum hitting-set size of ``sets`` if it is at most ``cap``;
     otherwise a proven lower bound greater than ``cap``.  ``floor`` must be
-    a proven lower bound on the optimum."""
+    a proven lower bound on the optimum.
+
+    ``sets`` holds no singleton: ``min_hitting_set`` forces units before it
+    splits, ``_undominated`` forces those that domination creates, and the
+    children of a branch or of the lexicographic reconstruction only drop
+    sets of a singleton-free family."""
     inst.nodes += 1
     if not sets:
         return 0
@@ -221,20 +226,14 @@ def _opt(
         return 1
     if cancel is not None:
         cancel()
-    forced, rest = _forced_units(sets)
-    if forced:
-        k = forced.bit_count()
-        if k > cap:
-            return k
-        return k + _opt(inst, rest, cap - k, floor - k, cancel)
-    key = tuple(sorted(rest))
+    key = tuple(sorted(sets))
     exact = inst._exact.get(key)
     if exact is not None:
         return exact
     lower = max(floor, inst._lower.get(key, 0))
     if lower > cap:
         return lower
-    forced, rest = _undominated(inst, rest)
+    forced, rest = _undominated(inst, sets)
     k = forced.bit_count()
     if k > cap or not rest:
         value = k

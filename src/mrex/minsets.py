@@ -58,21 +58,9 @@ class SoftSolver:
     """
 
     def __init__(
-        self,
-        soft: Sequence[Clause],
-        hard: Iterable[Clause] = (),
-        num_vars: int | None = None,
+        self, soft: Sequence[Clause], hard: Iterable[Clause] = (), *, num_vars: int
     ):
         self.soft = [tuple(c) for c in soft]
-        hard = [tuple(c) for c in hard]
-        if num_vars is None:
-            num_vars = 0
-            for c in list(hard) + self.soft:
-                for l in c:
-                    v = l if l > 0 else -l
-                    if v > num_vars:
-                        num_vars = v
-        self.num_vars = num_vars
         self.session = SatSession(num_vars)
         for c in hard:
             self.session.add_hard(c)

@@ -45,24 +45,20 @@ def _instantiate(schema: ActionSchema, binding: dict[str, str]) -> GroundAction:
 
 
 def ground(
-    task: LiftedTask,
-    *,
-    distinct_parameters: bool = True,
-    action_cap: int = DEFAULT_ACTION_CAP,
+    task: LiftedTask, *, action_cap: int = DEFAULT_ACTION_CAP
 ) -> PlanningProblem:
-    """All type-consistent instantiations of every schema.
-
-    distinct_parameters skips bindings that assign the same object to two
-    parameters (stack(a,a)-style instantiations are never useful in the
-    benchmark domains and bloat the encoding).  The fluent universe is the
-    set of atoms in init, goal, and the ground actions.
+    """All type-consistent instantiations of every schema that bind
+    distinct objects to distinct parameters (stack(a,a)-style
+    instantiations are never useful in the benchmark domains and bloat the
+    encoding).  The fluent universe is the set of atoms in init, goal, and
+    the ground actions.
     """
     actions: list[GroundAction] = []
     for schema in task.schemas:
         domains = [objects_of_type(task, t) for _v, t in schema.parameters]
         names = [v for v, _t in schema.parameters]
         for combo in product(*domains):
-            if distinct_parameters and len(set(combo)) != len(combo):
+            if len(set(combo)) != len(combo):
                 continue
             actions.append(_instantiate(schema, dict(zip(names, combo))))
             if len(actions) > action_cap:

@@ -52,7 +52,10 @@ class ReconcileTimeout(Exception):
 
 
 class _Expired(Exception):
-    pass
+    """Raised by _Deadline.check.  A function that opened a session adds
+    its solves to oracle_calls on the way out."""
+
+    oracle_calls = 0
 
 
 class _Deadline:
@@ -138,7 +141,11 @@ def preprocess_consistency(
     ws = SoftSolver(diff, hard=kb_a.clauses, num_vars=nv)
     if ws.solve_ids(range(len(diff))).satisfiable:
         return kb_h.clauses, (), ws.oracle_calls
-    mcs = extract_mcs(ws, cancel=cancel)
+    try:
+        mcs = extract_mcs(ws, cancel=cancel)
+    except _Expired as exc:
+        exc.oracle_calls += ws.oracle_calls
+        raise
     removed = {diff[i] for i in mcs.ids}
     kept = tuple(c for c in kb_h.clauses if c not in removed)
     return kept, tuple(sorted(removed)), ws.oracle_calls
@@ -234,14 +241,14 @@ def _search(problem: ReconcileProblem, timeout: float | None, *,
             mode=problem.mode,
             restricted_consistency_ok=consistency_ok,
         )
-    except _Expired:
+    except _Expired as exc:
         for session in (ws, mus_ws):
             if session is not None:
                 oracle_calls += session.oracle_calls
         raise ReconcileTimeout(
             f"reconciliation exceeded {timeout} seconds",
             mcs_count=len(instance),
-            oracle_calls=oracle_calls,
+            oracle_calls=oracle_calls + exc.oracle_calls,
             elapsed=time.monotonic() - started,
         ) from None
 

@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 check_models = False
 
 _RESTART_BASE = 256
+_MIN_LEARNTS = 5000  # reduce past max(this, 2 * problem clauses) learnts
 
 
 class SolverUsageError(ValueError):
@@ -397,10 +398,13 @@ class SatSession:
             if -a in aset:
                 return SolveResult(False, conflict_subset=frozenset((a, -a)))
 
+        # Reduce here too, or solves that never restart keep every learnt.
+        max_learnts = max(_MIN_LEARNTS, 2 * self._n_problem_clauses)
+        if len(self._learnts) > max_learnts:
+            self._reduce_db()
         conflicts = 0
         restarts = 0
         limit = _RESTART_BASE * _luby(1)
-        max_learnts = max(5000, 2 * self._n_problem_clauses)
         while True:
             confl = self._propagate()
             if confl is not None:

@@ -452,3 +452,62 @@ def test_count_below_one_rejected(capsys, command, count):
     code = main([command, BLOCKS, SUSSMAN, "--scenario", "4", "--count", count])
     assert code == EXIT_USAGE
     _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["backbone", "kb.cnf", "--k", "-3"],
+    ["encode-plan", BLOCKS, SUSSMAN, "--horizon", "-1"],
+])
+def test_negative_k_or_horizon_rejected(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    _single_error_line(capsys)
+
+
+_ARGS = {
+    "reconcile": ["kb_a.cnf", "kb_h.cnf", "--query", "query.txt"],
+    "explain-plan": [CHAIN_DOMAIN, CHAIN_PROBLEM, "--scenario", "1"],
+    "tweak-cnf": ["kb_a.cnf", "--scenario", "9"],
+    "tweak-model": [BLOCKS, TWO_BLOCKS, "--scenario", "1"],
+    "backbone": ["kb_a.cnf"],
+    "verify": ["kb_h.cnf", "expl.records", "--query", "query.txt"],
+    "encode-plan": [BLOCKS, TWO_BLOCKS, "--horizon", "1"],
+}
+
+# The fields of each subcommand's `run` record: its command and the
+# options it accepts among --seed, --mode, --timeout, --scenario, --horizon.
+_RUN_FIELDS = {
+    "reconcile": ["command", "seed", "mode", "timeout"],
+    "explain-plan": ["command", "seed", "mode", "timeout", "scenario"],
+    "tweak-cnf": ["command", "seed", "scenario"],
+    "tweak-model": ["command", "seed", "scenario"],
+    "backbone": ["command", "seed"],
+    "verify": ["command"],
+    "encode-plan": ["command", "horizon"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((command, flag) for command in ("tweak-cnf", "tweak-model", "backbone",
+                                      "verify", "encode-plan")
+      for flag in ("--mode", "--timeout")),
+    ("verify", "--seed"),
+    ("encode-plan", "--seed"),
+])
+def test_option_of_another_subcommand_rejected(capsys, command, flag):
+    value = {"--mode": "general", "--timeout": "5", "--seed": "1"}[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_ARGS[command], flag, value])
+    assert exc.value.code == EXIT_USAGE
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(_RUN_FIELDS))
+def test_run_record_names_only_accepted_options(worked, monkeypatch, capsys, command):
+    kb_a, kb_h, query = worked
+    monkeypatch.chdir(kb_a.parent)
+    run(capsys, "reconcile", kb_a, kb_h, "--query", query, "--out", "expl.records")
+    code, out = run(capsys, command, *_ARGS[command], "--format", "records")
+    assert code == EXIT_OK
+    kind, *fields = out.splitlines()[0].split()
+    assert kind == "run"
+    assert [field.split("=")[0] for field in fields] == _RUN_FIELDS[command]

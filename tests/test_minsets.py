@@ -41,12 +41,12 @@ def test_mcs_respects_seed():
 def test_mcs_seed_conflict_detected():
     # seed {(-3,)} against hard (3) is already unsatisfiable
     with pytest.raises(SeedInconsistentError):
-        extract_mcs(SoftSolver([(-3,), (1,)], [(3,)]), seed={0})
+        extract_mcs(SoftSolver([(-3,), (1,)], [(3,)], num_vars=3), seed={0})
 
 
 def test_mcs_nothing_to_correct():
     with pytest.raises(NothingToCorrectError):
-        extract_mcs(SoftSolver([(1,), (2,)], [(3,)]))
+        extract_mcs(SoftSolver([(1,), (2,)], [(3,)], num_vars=3))
 
 
 def test_mus_of_worked_support_clauses():
@@ -58,7 +58,7 @@ def test_mus_of_worked_support_clauses():
 
 def test_mus_requires_unsat():
     with pytest.raises(NotUnsatisfiableError):
-        extract_mus(SoftSolver([(1,), (2,)], []))
+        extract_mus(SoftSolver([(1,), (2,)], [], num_vars=2))
 
 
 def test_enumerate_worked_base_mcses():

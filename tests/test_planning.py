@@ -177,8 +177,6 @@ class TestGrounding:
         task = parse_pddl(BLOCKS, TWO_BLOCKS)
         default = ground(task)
         assert all(len(set(a.args)) == len(a.args) for a in default.actions)
-        loose = ground(task, distinct_parameters=False)
-        assert len(loose.actions) == 12  # stack/unstack gain (a,a) and (b,b)
 
     def test_action_cap(self):
         with pytest.raises(GroundingCapError):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import mrex.reconcile as reconcile_module
 from mrex.formula import CnfFormula
 from mrex.reconcile import (
     GENERAL,
@@ -22,6 +23,7 @@ from mrex.reconcile import (
     smallest_support,
     verify_explanation,
 )
+from mrex.solver import SatSession
 
 from oracles import (
     brute_force_min_update,
@@ -136,6 +138,43 @@ class TestEdgeCases:
         assert exc.value.elapsed >= 0.0
         with pytest.raises(ReconcileTimeout):
             smallest_support(KB_A, QUERY_A, timeout=0.0)
+
+    @pytest.mark.parametrize("mode", [GENERAL, RESTRICTED])
+    def test_timeout_counts_every_oracle_call(self, monkeypatch, mode):
+        """Whichever deadline poll fires, preprocessing's among them, the
+        timeout reports as many oracle calls as the run made solves."""
+        solves = polls = fire_at = 0
+        real_solve = SatSession.solve
+
+        def counted_solve(session, assumptions=()):
+            nonlocal solves
+            solves += 1
+            return real_solve(session, assumptions)
+
+        def check(deadline):
+            nonlocal polls
+            polls += 1
+            if polls == fire_at:
+                raise reconcile_module._Expired
+
+        monkeypatch.setattr(SatSession, "solve", counted_solve)
+        monkeypatch.setattr(reconcile_module._Deadline, "check", check)
+        # (3,) and (-1, 4) conflict with kb_a: preprocessing polls the deadline
+        kb_h = _formula([(-3,), (5,), (3,), (-1, 4)])
+        problem = ReconcileProblem(KB_A, kb_h, QUERY_A, mode=mode)
+        timeouts = 0
+        while True:
+            fire_at += 1
+            solves = polls = 0
+            try:
+                expl = reconcile(problem)
+            except ReconcileTimeout as exc:
+                assert exc.oracle_calls == solves, fire_at
+                timeouts += 1
+                continue
+            assert expl.oracle_calls == solves
+            break
+        assert timeouts == polls >= 4
 
     def test_multi_clause_query(self):
         # query (a ∧ (c ∨ d)) is unattainable from kb_a (it forces ¬c, ¬d),

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from mrex import solver
 from mrex.solver import SatSession, SolverUsageError, _luby
 
 from oracles import random_cnf, tt_satisfiable
@@ -240,6 +241,23 @@ def test_solve_survives_a_restart():
     assert s.solve().satisfiable
     assert s.conflicts > 256
     assert s.decisions > 0
+
+
+def test_learnt_clauses_stay_bounded_without_restarts(monkeypatch):
+    """Solves that each stay under the first restart still shrink the
+    learnt clauses once they pass the limit, at the start of a solve."""
+    monkeypatch.setattr(solver, "_MIN_LEARNTS", 20)  # the limit is 2 * 340
+    rng = random.Random(3)
+    s = SatSession(80)
+    for c in _random_3sat(3, 80, 340):
+        s.add_hard(c)
+    limit = 2 * 340
+    for _ in range(800):
+        before = s.conflicts
+        s.solve([v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 81), 12)])
+        assert s.conflicts - before < 256
+        assert len(s._learnts) <= limit + (s.conflicts - before)
+    assert s.conflicts > 2 * limit
 
 
 def test_pick_branch_matches_brute_force():
