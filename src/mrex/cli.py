@@ -30,7 +30,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .backbone import UnsatisfiableError, compute_backbone
 from .formula import (
@@ -147,15 +147,14 @@ class Report:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _read_input(path: str, report: Report | None = None) -> str:
-    """Read a UTF-8 file; with a report, log its digest on an `input` record."""
+def _read_input(path: str, report: Report) -> str:
+    """Read a UTF-8 file and log its digest on an `input` record."""
     try:
         data = Path(path).read_bytes()
         text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
-    if report is not None:
-        report.record("input", path=path, sha256=hashlib.sha256(data).hexdigest())
+    report.record("input", path=path, sha256=hashlib.sha256(data).hexdigest())
     return text
 
 
@@ -205,10 +204,12 @@ def _write_out(path: str, content: str) -> None:
         raise CliError(EXIT_USAGE, f"cannot write {path}: {exc}") from exc
 
 
-def _write_kb(path: str, formula: CnfFormula, log_lines: Iterable[str]) -> None:
-    """Write a KB plus the provenance/deletion log that produced it."""
-    _write_out(path, write_dimacs(formula))
-    _write_out(path + ".log", "\n".join(log_lines) + "\n")
+def _write_artifact(path: str, content: str, report: Report) -> None:
+    """Write an artifact, and the run's records so far without `time `
+    lines to `<path>.log` as its provenance."""
+    _write_out(path, content)
+    log = [r for r in report.records if not r.startswith("time ")]
+    _write_out(path + ".log", "\n".join(log) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +352,7 @@ def cmd_backbone(config: RunConfig) -> tuple[Report, int]:
     report.text(f"backbone size {len(backbone)}; query literals: "
                 + " ".join(str(l) for l in chosen))
     if config.out:
-        lines = [format_record("run", command="backbone", seed=config.seed, k=config.k)]
-        lines += [r for r in report.records if r.startswith("input ")]
-        _write_out(config.out, "\n".join(str(l) for l in chosen) + "\n")
-        _write_out(config.out + ".log", "\n".join(lines) + "\n")
+        _write_artifact(config.out, "\n".join(str(l) for l in chosen) + "\n", report)
     return report, EXIT_OK
 
 
@@ -414,8 +412,7 @@ def cmd_tweak_cnf(config: RunConfig) -> tuple[Report, int]:
     report.record("kb", name="kb_h", vars=tweaked.num_vars,
                   clauses=len(tweaked.clauses))
     if config.out:
-        header = [r for r in report.records if r.startswith(("run ", "input "))]
-        _write_kb(config.out, tweaked, header + log)
+        _write_artifact(config.out, write_dimacs(tweaked), report)
         report.text(f"wrote {config.out} (+.log)")
     return report, EXIT_OK
 
@@ -446,11 +443,7 @@ def cmd_tweak_model(config: RunConfig) -> tuple[Report, int]:
     report.record("model", actions=len(tweaked.problem.actions),
                   init=len(tweaked.problem.init))
     if config.out:
-        _write_out(config.out, listing)
-        _write_out(
-            config.out + ".log",
-            "\n".join(report.records) + "\n",
-        )
+        _write_artifact(config.out, listing, report)
         report.text(f"wrote {config.out} (+.log)")
     return report, EXIT_OK
 
@@ -484,7 +477,7 @@ def cmd_encode_plan(config: RunConfig) -> tuple[Report, int]:
         f"{len(enc.cnf.clauses)} clauses"
     )
     if config.out:
-        _write_kb(config.out, enc.cnf, report.records)
+        _write_artifact(config.out, write_dimacs(enc.cnf), report)
         _write_out(config.out + ".map", write_var_map(enc))
         report.text(f"wrote {config.out} (+.map, +.log)")
     return report, EXIT_OK
@@ -503,12 +496,11 @@ class ExplainPlanResult:
 
 
 def run_explain_plan(config: RunConfig) -> ExplainPlanResult:
-    plan_text = None if config.plan is None else _read_input(config.plan)
     report = _start(config)
     problem = _parse_planning_inputs(config, report)
 
-    if plan_text is not None:
-        plan = parse_plan_text(plan_text, problem)
+    if config.plan is not None:
+        plan = parse_plan_text(_read_input(config.plan, report), problem)
         if not validate_plan(problem, plan):
             raise CliError(EXIT_PARSE, "provided plan does not reach the goal")
         source = "file"
@@ -576,9 +568,8 @@ def run_explain_plan(config: RunConfig) -> ExplainPlanResult:
     )
     if expl is not None and config.out:
         outdir = Path(config.out)
-        provenance = [r for r in report.records if not r.startswith("time ")]
-        _write_kb(str(outdir / "kb_a.cnf"), kb_a, provenance)
-        _write_kb(str(outdir / "kb_h.cnf"), kb_h, provenance)
+        _write_artifact(str(outdir / "kb_a.cnf"), write_dimacs(kb_a), report)
+        _write_artifact(str(outdir / "kb_h.cnf"), write_dimacs(kb_h), report)
         _write_out(str(outdir / "kb_a.cnf.map"), write_var_map(enc_a))
         _write_out(str(outdir / "plan.txt"), write_plan_text(plan))
         _write_out(

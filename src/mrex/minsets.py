@@ -52,8 +52,8 @@ class MusResult:
 class SoftSolver:
     """Selector-guarded workspace over a fixed soft universe.
 
-    num_vars must cover every variable in soft and hard clauses; selectors
-    are allocated above it.  One workspace can serve many extractions, which
+    num_vars must cover every variable in soft and hard clauses, or the
+    session raises SolverUsageError; selectors are allocated above it.  One workspace can serve many extractions, which
     is what keeps the main reconciliation loop incremental.
     """
 

@@ -252,14 +252,14 @@ class FeasibilityResult:
 def check_feasibility(
     encoding: BoundedEncoding,
     plan: Plan,
-    reference: BoundedEncoding | None = None,
+    reference: BoundedEncoding,
 ) -> FeasibilityResult:
     """Can this encoding execute `plan` and end in the goal?
 
     Solves under assumptions: each plan step's action variable plus the
-    goal fluents at the horizon.  When infeasible and a reference encoding
-    is given, reports the reference's action-dynamics clauses (pre/add/del)
-    for the plan's steps that the checked encoding lacks.
+    goal fluents at the horizon.  When infeasible, reports the reference
+    encoding's action-dynamics clauses (pre/add/del) for the plan's steps
+    that the checked encoding lacks.
     """
     n = encoding.horizon
     if len(plan) != n:
@@ -270,8 +270,8 @@ def check_feasibility(
     for c in encoding.cnf.clauses:
         session.add_hard(c)
     feasible = session.solve(assumptions).satisfiable
-    if feasible or reference is None:
-        return FeasibilityResult(feasible)
+    if feasible:
+        return FeasibilityResult(True)
     have = encoding.cnf.clause_set()
     missing: list[Clause] = []
     origins: list[ClauseOrigin] = []

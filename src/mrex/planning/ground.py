@@ -44,14 +44,13 @@ def _instantiate(schema: ActionSchema, binding: dict[str, str]) -> GroundAction:
     )
 
 
-def ground(
-    task: LiftedTask, *, action_cap: int = DEFAULT_ACTION_CAP
-) -> PlanningProblem:
+def ground(task: LiftedTask) -> PlanningProblem:
     """All type-consistent instantiations of every schema that bind
     distinct objects to distinct parameters (stack(a,a)-style
     instantiations are never useful in the benchmark domains and bloat the
     encoding).  The fluent universe is the set of atoms in init, goal, and
-    the ground actions.
+    the ground actions.  Raises GroundingCapError past DEFAULT_ACTION_CAP
+    actions.
     """
     actions: list[GroundAction] = []
     for schema in task.schemas:
@@ -61,8 +60,8 @@ def ground(
             if len(set(combo)) != len(combo):
                 continue
             actions.append(_instantiate(schema, dict(zip(names, combo))))
-            if len(actions) > action_cap:
+            if len(actions) > DEFAULT_ACTION_CAP:
                 raise GroundingCapError(
-                    f"grounding exceeds the action cap ({action_cap})"
+                    f"grounding exceeds the action cap ({DEFAULT_ACTION_CAP})"
                 )
     return PlanningProblem.build(actions, task.init, task.goal)

@@ -102,13 +102,12 @@ class PlanningProblem:
         actions: Iterable[GroundAction],
         init: Iterable[GroundAtom],
         goal: Iterable[GroundAtom],
-        extra_fluents: Iterable[GroundAtom] = (),
     ) -> "PlanningProblem":
         """Problem over the atom universe induced by its parts."""
         init = frozenset(init)
         goal = frozenset(goal)
         actions = tuple(sorted(actions, key=lambda a: a.label))
-        universe = set(init) | set(goal) | set(extra_fluents)
+        universe = set(init) | set(goal)
         for a in actions:
             universe |= a.atoms()
         return cls(tuple(sorted(universe)), actions, init, goal)

@@ -32,14 +32,12 @@ def validate_plan(problem: PlanningProblem, plan: Sequence[GroundAction]) -> boo
     return problem.goal <= state
 
 
-def optimal_plan_search(
-    problem: PlanningProblem, cap: int = DEFAULT_STATE_CAP
-) -> tuple[GroundAction, ...]:
+def optimal_plan_search(problem: PlanningProblem) -> tuple[GroundAction, ...]:
     """Shortest plan by breadth-first search over reachable states.
 
     Deterministic: actions are expanded in the problem's canonical order.
-    Raises StateCapError past `cap` visited states and GoalUnreachableError
-    when the search space is exhausted.
+    Raises StateCapError past DEFAULT_STATE_CAP visited states and
+    GoalUnreachableError when the search space is exhausted.
     """
     start = frozenset(problem.init)
     if problem.goal <= start:
@@ -57,7 +55,8 @@ def optimal_plan_search(
             if problem.goal <= nxt:
                 return plan + (action,)
             visited.add(nxt)
-            if len(visited) > cap:
-                raise StateCapError(f"state space exceeds the cap ({cap})")
+            if len(visited) > DEFAULT_STATE_CAP:
+                raise StateCapError(
+                    f"state space exceeds the cap ({DEFAULT_STATE_CAP})")
             queue.append((nxt, plan + (action,)))
     raise GoalUnreachableError("goal is unreachable from the initial state")

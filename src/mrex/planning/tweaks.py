@@ -82,7 +82,7 @@ def tweak_model(
     scenario: int,
     seed: int,
     *,
-    count: int = 2,
+    count: int,
 ) -> TweakedModel:
     """Apply one scenario's deletions; see SCENARIOS for the catalogue.
 

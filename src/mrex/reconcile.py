@@ -126,19 +126,18 @@ def _check_premises(kb_a: CnfFormula, neg_clauses: Sequence[Clause], num_vars: i
 
 
 def preprocess_consistency(
-    kb_a: CnfFormula, kb_h: CnfFormula, num_vars: int | None = None,
-    cancel=None,
+    kb_a: CnfFormula, kb_h: CnfFormula, num_vars: int, cancel=None,
 ) -> tuple[tuple[Clause, ...], tuple[Clause, ...], int]:
     """Restore mutual consistency by removing a minimal correction set of
     kb_h-only clauses.  Returns (kb_h clauses kept, clauses removed, solves).
 
-    kb_a must be satisfiable (checked by the caller)."""
-    nv = num_vars if num_vars is not None else _env_vars(kb_a, kb_h)
+    num_vars must cover both KBs' variables.  kb_a must be satisfiable
+    (checked by the caller)."""
     in_a = kb_a.clause_set()
     diff = [c for c in kb_h.clauses if c not in in_a]
     if not diff:
         return kb_h.clauses, (), 0
-    ws = SoftSolver(diff, hard=kb_a.clauses, num_vars=nv)
+    ws = SoftSolver(diff, hard=kb_a.clauses, num_vars=num_vars)
     if ws.solve_ids(range(len(diff))).satisfiable:
         return kb_h.clauses, (), ws.oracle_calls
     try:
@@ -254,7 +253,7 @@ def _search(problem: ReconcileProblem, timeout: float | None, *,
 
 
 def verify_explanation(
-    kb_h: CnfFormula | Iterable[Clause],
+    kb_h: Iterable[Clause],
     support: Iterable[Clause],
     query: CnfFormula,
 ) -> VerificationReport:
@@ -264,7 +263,7 @@ def verify_explanation(
     minimal: every proper subset of the support fails to entail the query on
     its own; consistent: kb_h ∪ support satisfiable.
     """
-    kb_h_clauses = tuple(kb_h.clauses if isinstance(kb_h, CnfFormula) else kb_h)
+    kb_h_clauses = tuple(kb_h)
     support = tuple(sorted(set(tuple(c) for c in support)))
     env = max(
         [query.num_vars]

@@ -2,8 +2,11 @@
 
 A session owns a growing set of hard clauses plus soft clauses guarded by
 selector variables, so callers can switch clause subsets on and off between
-solves without rebuilding.  Solving is deterministic: identical session
-histories produce identical answers, models, and conflict subsets.
+solves without rebuilding.  Its problem variables are fixed at construction
+(1..num_vars); selectors are allocated above them, and a clause naming a
+larger variable is a usage error, so it can never alias a selector.
+Solving is deterministic: identical session histories produce identical
+answers, models, and conflict subsets.
 
 Each decision branches on the unassigned variable of largest VSIDS activity,
 the smallest variable among ties.  The variable order is one list of all
@@ -18,7 +21,7 @@ follow the Luby sequence in units of 256 conflicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 # When True every SAT answer is audited clause-by-clause against the
 # registered hard clauses and the assumed soft clauses (test builds).
@@ -67,7 +70,7 @@ def _luby(i: int) -> int:
 class SatSession:
     """One incremental solver instance; operations own their sessions."""
 
-    def __init__(self, num_vars: int = 0):
+    def __init__(self, num_vars: int):
         self._nvars = 0
         self._assign: list[int] = [0]  # +1 true, -1 false, 0 unassigned
         self._level: list[int] = [0]
@@ -95,13 +98,14 @@ class SatSession:
         self.conflicts = 0
         self.decisions = 0
         for _ in range(num_vars):
-            self.new_var()
+            self._new_var()
+        self._problem_vars = num_vars
 
     @property
     def num_vars(self) -> int:
         return self._nvars
 
-    def new_var(self) -> int:
+    def _new_var(self) -> int:
         self._nvars += 1
         v = self._nvars
         self._assign.append(0)
@@ -114,15 +118,9 @@ class SatSession:
         self._order.append(v)
         return v
 
-    def _grow_to(self, clause: Sequence[int]) -> None:
-        top = max((l if l > 0 else -l) for l in clause) if clause else 0
-        while self._nvars < top:
-            self.new_var()
-
     def add_hard(self, clause: Iterable[int]) -> None:
         lits = tuple(clause)
         self._check_clause(lits)
-        self._grow_to(lits)
         self._hard_audit.append(lits)
         self._add_clause(list(lits))
 
@@ -131,18 +129,19 @@ class SatSession:
         activates the clause.  Returns the selector variable."""
         lits = tuple(clause)
         self._check_clause(lits)
-        self._grow_to(lits)
-        s = self.new_var()
+        s = self._new_var()
         self._soft_audit[s] = lits
         self._add_clause([-s, *lits])
         return s
 
-    @staticmethod
-    def _check_clause(lits: tuple[int, ...]) -> None:
+    def _check_clause(self, lits: tuple[int, ...]) -> None:
         seen = set()
         for l in lits:
             if not isinstance(l, int) or l == 0:
                 raise SolverUsageError(f"bad literal {l!r}")
+            if abs(l) > self._problem_vars:
+                raise SolverUsageError(
+                    f"literal {l} is beyond the session's {self._problem_vars} variables")
             if -l in seen:
                 raise SolverUsageError(f"tautological clause {lits}")
             if l in seen:

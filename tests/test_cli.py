@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, records, determinism."""
 
+import hashlib
+import importlib
 from pathlib import Path
 
 import pytest
@@ -212,7 +214,8 @@ class TestBackboneCommand:
         assert "sampled=2" in out
         lits = [int(l) for l in out_file.read_text().split()]
         assert len(lits) == 2 and set(lits) <= {1, -2, -3, -4}
-        assert (tmp_path / "query.txt.log").exists()
+        # the sidecar log is the run's records, starting with the run record
+        assert (tmp_path / "query.txt.log").read_text() == out
 
     def test_k_larger_than_backbone_warns(self, worked, capsys):
         kb_a, _, _ = worked
@@ -250,7 +253,8 @@ class TestTweakCnfCommand:
                         "--seed", "1", "--out", out_file, "--format", "records")
         assert code == EXIT_OK
         assert "removed=1 trimmed=1 skipped=0" in out
-        assert out_file.exists() and (tmp_path / "kb_h.cnf.log").exists()
+        assert out_file.exists()
+        assert (tmp_path / "kb_h.cnf.log").read_text() == out
         assert "clauses_after=9" in out
 
     def test_same_seed_identical_output(self, tmp_path, capsys):
@@ -339,6 +343,13 @@ class TestExplainPlanCommand:
                       "--scenario", "1", "--seed", "0")
         assert code == EXIT_CAP
 
+    def test_state_cap_exceeded(self, capsys, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("mrex.planning.search"),
+                            "DEFAULT_STATE_CAP", 5)
+        code = main(["explain-plan", BLOCKS, SUSSMAN, "--scenario", "1"])
+        assert code == EXIT_CAP
+        assert capsys.readouterr().err == "error: state space exceeds the cap (5)\n"
+
     def test_provided_plan(self, tmp_path, capsys):
         plan = tmp_path / "plan.txt"
         plan.write_text("(pick-up a)\n(stack a b)\n")
@@ -347,6 +358,8 @@ class TestExplainPlanCommand:
                         "--format", "records")
         assert code == EXIT_OK
         assert "plan source=file length=2" in out
+        digest = hashlib.sha256(plan.read_bytes()).hexdigest()
+        assert f"input path={plan} sha256={digest}" in out.splitlines()
 
     def test_invalid_provided_plan(self, tmp_path, capsys):
         plan = tmp_path / "plan.txt"

@@ -14,6 +14,7 @@ from mrex.minsets import (
     extract_mcs,
     extract_mus,
 )
+from mrex.solver import SolverUsageError
 
 from oracles import (
     random_unsat_soft,
@@ -24,6 +25,14 @@ from oracles import (
 
 # the worked five-clause base: a|b, -b|c, -c, -b|d, -d  (a=1 b=2 c=3 d=4, f=5)
 BASE = [(1, 2), (-2, 3), (-3,), (-2, 4), (-4,)]
+
+
+def test_clause_cannot_alias_a_selector():
+    """Clause 0's selector is variable 4, so a soft (4,) over num_vars=3
+    would silently name it; the session rejects the clause instead."""
+    with pytest.raises(SolverUsageError, match="beyond"):
+        SoftSolver([(1,), (4,)], hard=[(-1,)], num_vars=3)
+    assert SoftSolver([(1,), (4,)], hard=[(-1,)], num_vars=4).solve_ids([1]).satisfiable
 
 
 def test_mcs_of_worked_base_with_negated_goal():

@@ -1,5 +1,6 @@
 """Planning frontend: PDDL parsing, grounding, encoding, search, tweaks."""
 
+import importlib
 import itertools
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from mrex.planning import (
     PlanningError,
     PlanningProblem,
     PddlParseError,
+    StateCapError,
     check_feasibility,
     decode_model,
     encode_bounded,
@@ -178,9 +180,12 @@ class TestGrounding:
         default = ground(task)
         assert all(len(set(a.args)) == len(a.args) for a in default.actions)
 
-    def test_action_cap(self):
+    def test_action_cap(self, monkeypatch):
+        # mrex.planning.ground names the function; the module holds the cap
+        monkeypatch.setattr(importlib.import_module("mrex.planning.ground"),
+                            "DEFAULT_ACTION_CAP", 5)
         with pytest.raises(GroundingCapError):
-            ground(parse_pddl(BLOCKS, SUSSMAN), action_cap=5)
+            ground(parse_pddl(BLOCKS, SUSSMAN))
 
     def test_delete_normalization(self):
         a = GroundAction("x", (), add=frozenset({GroundAtom("f")}),
@@ -216,6 +221,12 @@ class TestSearch:
         problem = ground(parse_pddl(BLOCKS, TWO_BLOCKS))
         plan = optimal_plan_search(problem)
         assert not validate_plan(problem, plan[::-1])
+
+    def test_state_cap(self, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("mrex.planning.search"),
+                            "DEFAULT_STATE_CAP", 5)
+        with pytest.raises(StateCapError, match=r"cap \(5\)"):
+            optimal_plan_search(ground(parse_pddl(BLOCKS, SUSSMAN)))
 
     def test_unreachable_goal(self):
         task = parse_pddl(CHAIN_DOMAIN, CHAIN_PROBLEM)
@@ -288,7 +299,7 @@ class TestEncoding:
     def test_var_map_alignment(self):
         problem = ground(parse_pddl(BLOCKS, TWO_BLOCKS))
         enc_a = encode_bounded(problem, 2, include_goal=False)
-        tweaked = tweak_model(problem, 1, seed=11)
+        tweaked = tweak_model(problem, 1, seed=11, count=2)
         enc_h = encode_bounded(
             tweaked.problem, 2, include_goal=False,
             fluent_order=enc_a.fluent_order, action_order=enc_a.action_order,
@@ -371,7 +382,7 @@ class TestFeasibility:
         problem = ground(parse_pddl(BLOCKS, TWO_BLOCKS))
         plan = optimal_plan_search(problem)
         enc = encode_bounded(problem, len(plan), include_goal=False)
-        assert check_feasibility(enc, plan).feasible
+        assert check_feasibility(enc, plan, reference=enc).feasible
 
     def test_swapped_plan_infeasible(self):
         problem = ground(parse_pddl(BLOCKS, TWO_BLOCKS))
@@ -385,7 +396,7 @@ class TestFeasibility:
         problem = ground(parse_pddl(BLOCKS, TWO_BLOCKS))
         plan = optimal_plan_search(problem)
         enc_a = encode_bounded(problem, 2, include_goal=False)
-        empty = tweak_model(problem, 8, seed=0)
+        empty = tweak_model(problem, 8, seed=0, count=2)
         enc_h = encode_bounded(
             empty.problem, 2, include_goal=False,
             fluent_order=enc_a.fluent_order, action_order=enc_a.action_order,
@@ -400,14 +411,14 @@ class TestFeasibility:
         problem = ground(parse_pddl(BLOCKS, TWO_BLOCKS))
         enc = encode_bounded(problem, 2, include_goal=False)
         with pytest.raises(PlanningError, match="plan length"):
-            check_feasibility(enc, ())
+            check_feasibility(enc, (), reference=enc)
 
     def test_unknown_action_rejected(self):
         problem = ground(parse_pddl(BLOCKS, TWO_BLOCKS))
         enc = encode_bounded(problem, 1, include_goal=False)
         ghost = GroundAction("fly", ("a",))
         with pytest.raises(PlanningError, match="unknown name"):
-            check_feasibility(enc, (ghost,))
+            check_feasibility(enc, (ghost,), reference=enc)
 
 
 @pytest.fixture(scope="module")
@@ -417,17 +428,17 @@ def sussman():
 
 class TestTweaks:
     def test_scenario5_removes_all_preconditions(self, sussman):
-        tweaked = tweak_model(sussman, 5, seed=3)
+        tweaked = tweak_model(sussman, 5, seed=3, count=2)
         assert all(a.pre == frozenset() for a in tweaked.problem.actions)
         assert len(tweaked.log) == sum(len(a.pre) for a in sussman.actions)
 
     def test_scenario8_removes_all_actions(self, sussman):
-        tweaked = tweak_model(sussman, 8, seed=3)
+        tweaked = tweak_model(sussman, 8, seed=3, count=2)
         assert tweaked.problem.actions == ()
         assert len(tweaked.log) == 18
 
     def test_scenario1_one_precondition_per_action(self, sussman):
-        tweaked = tweak_model(sussman, 1, seed=7)
+        tweaked = tweak_model(sussman, 1, seed=7, count=2)
         removed = [r for r in tweaked.log if r.kind == "pre"]
         assert len(removed) == 18
         for orig, new in zip(sussman.actions, tweaked.problem.actions):
@@ -435,13 +446,13 @@ class TestTweaks:
             assert new.add == orig.add and new.delete == orig.delete
 
     def test_scenario2_one_effect_per_action(self, sussman):
-        tweaked = tweak_model(sussman, 2, seed=7)
+        tweaked = tweak_model(sussman, 2, seed=7, count=2)
         for orig, new in zip(sussman.actions, tweaked.problem.actions):
             assert len(new.add) + len(new.delete) == len(orig.add) + len(orig.delete) - 1
             assert new.pre == orig.pre
 
     def test_scenario3_one_of_each(self, sussman):
-        tweaked = tweak_model(sussman, 3, seed=7)
+        tweaked = tweak_model(sussman, 3, seed=7, count=2)
         for orig, new in zip(sussman.actions, tweaked.problem.actions):
             assert len(new.pre) == len(orig.pre) - 1
             assert len(new.add) + len(new.delete) == len(orig.add) + len(orig.delete) - 1
@@ -455,33 +466,36 @@ class TestTweaks:
             )
 
     def test_scenario6_removes_init_atoms(self, sussman):
-        tweaked = tweak_model(sussman, 6, seed=7)
+        tweaked = tweak_model(sussman, 6, seed=7, count=2)
         assert len(tweaked.problem.init) == len(sussman.init) - 2
         assert tweaked.problem.fluents == sussman.fluents
 
     def test_scenario7_removes_all_effects(self, sussman):
-        tweaked = tweak_model(sussman, 7, seed=7)
+        tweaked = tweak_model(sussman, 7, seed=7, count=2)
         assert all(not a.add and not a.delete for a in tweaked.problem.actions)
 
     def test_determinism(self, sussman):
-        assert tweak_model(sussman, 3, seed=99) == tweak_model(sussman, 3, seed=99)
-        assert tweak_model(sussman, 3, seed=99) != tweak_model(sussman, 3, seed=100)
+        def tweak(seed):
+            return tweak_model(sussman, 3, seed=seed, count=2)
+
+        assert tweak(99) == tweak(99)
+        assert tweak(99) != tweak(100)
 
     def test_universe_preserved(self, sussman):
         for scenario in range(1, 9):
-            tweaked = tweak_model(sussman, scenario, seed=13)
+            tweaked = tweak_model(sussman, scenario, seed=13, count=2)
             assert tweaked.problem.fluents == sussman.fluents
 
     def test_skip_logged_when_nothing_to_remove(self):
         problem = ground(parse_pddl(CHAIN_DOMAIN, CHAIN_PROBLEM))
-        tweaked = tweak_model(problem, 1, seed=0)
+        tweaked = tweak_model(problem, 1, seed=0, count=2)
         kinds = {(r.action, r.kind) for r in tweaked.log}
         assert ("set-p", "skip") in kinds  # set-p has no preconditions
         assert ("finish", "pre") in kinds
 
     def test_unknown_scenario_rejected(self, sussman):
         with pytest.raises(PlanningError, match="unknown scenario"):
-            tweak_model(sussman, 9, seed=0)
+            tweak_model(sussman, 9, seed=0, count=2)
 
 
 class TestEndToEnd:

@@ -214,14 +214,14 @@ class TestModeSeparation:
 
 class TestPreprocessing:
     def test_consistent_inputs_untouched(self):
-        kept, removed, _ = preprocess_consistency(KB_A, KB_H)
+        kept, removed, _ = preprocess_consistency(KB_A, KB_H, 5)
         assert kept == KB_H.clauses
         assert removed == ()
 
     def test_removal_is_minimal_correction(self):
         kb_a = _formula([(1,), (2,)])
         kb_h = _formula([(-1,), (-2,), (3,)])
-        kept, removed, _ = preprocess_consistency(kb_a, kb_h)
+        kept, removed, _ = preprocess_consistency(kb_a, kb_h, 3)
         assert set(removed) == {(-1,), (-2,)}
         assert kept == ((3,),)
         assert tt_satisfiable(list(kb_a.clauses) + list(kept), 3)
@@ -238,7 +238,7 @@ class TestRandomAgreement:
             problem = ReconcileProblem(kb_a, kb_h, query)
             expl = reconcile(problem, timeout=60)
 
-            kept, removed, _ = preprocess_consistency(kb_a, kb_h)
+            kept, removed, _ = preprocess_consistency(kb_a, kb_h, 8)
             candidates = [c for c in kb_a.clauses if c not in kb_h.clause_set()]
             expected = tt_min_update_size(list(kept), candidates, query_l, 8)
             assert expected is not None

@@ -54,6 +54,11 @@ def test_malformed_clauses_raise():
         s.add_hard((2, 2))
 
 
+def test_literal_beyond_num_vars_raises():
+    with pytest.raises(SolverUsageError, match="beyond"):
+        SatSession(2).add_hard((1, 7))
+
+
 def test_assumptions_do_not_persist():
     s = SatSession(2)
     s.add_hard((1, 2))
