@@ -21,6 +21,7 @@ from .formula import (
 )
 from .solver import SatSession, SolveResult
 from .backbone import UnsatisfiableError, compute_backbone
+from .minsets import Budget
 from .reconcile import (
     GENERAL,
     RESTRICTED,
@@ -37,6 +38,7 @@ from .reconcile import (
 )
 
 __all__ = [
+    "Budget",
     "Clause",
     "Explanation",
     "GENERAL",

@@ -76,7 +76,7 @@ class HittingSetInstance:
     it is deterministic for identical instances and call sequences.
     """
 
-    def __init__(self, sets: Iterable[Iterable[int]] = ()):
+    def __init__(self) -> None:
         self.masks: list[int] = []
         self.ids: list[int] = []
         self._bit: dict[int, int] = {}
@@ -84,8 +84,6 @@ class HittingSetInstance:
         self._exact: dict[SetsKey, int] = {}
         self._lower: dict[SetsKey, int] = {}
         self._bit_tuples: dict[int, tuple[int, ...]] = {}
-        for s in sets:
-            self.add_set(s)
 
     def add_set(self, elements: Iterable[int]) -> None:
         mask = 0
@@ -209,7 +207,7 @@ def _opt(
     sets: list[int],
     cap: int,
     floor: int,
-    cancel: Cancel | None,
+    cancel: Cancel,
 ) -> int:
     """Minimum hitting-set size of ``sets`` if it is at most ``cap``;
     otherwise a proven lower bound greater than ``cap``.  ``floor`` must be
@@ -224,8 +222,7 @@ def _opt(
         return 0
     if cap < 1:
         return 1
-    if cancel is not None:
-        cancel()
+    cancel()
     key = tuple(sorted(sets))
     exact = inst._exact.get(key)
     if exact is not None:
@@ -256,7 +253,7 @@ def _opt_split(
     inst: HittingSetInstance,
     components: list[list[int]],
     cap: int,
-    cancel: Cancel | None,
+    cancel: Cancel,
 ) -> int:
     """``_opt`` of element-disjoint components: their optima add, so each
     component's cap is what the others' lower bounds leave."""
@@ -279,7 +276,7 @@ def _opt_branch(
     sets: list[int],
     cap: int,
     lower: int,
-    cancel: Cancel | None,
+    cancel: Cancel,
 ) -> int:
     """``_opt`` of one connected family with proven lower bound ``lower``:
     branch on the elements of a smallest set, most frequent first."""
@@ -303,7 +300,7 @@ def _opt_branch(
 
 
 def _lex_smallest(
-    inst: HittingSetInstance, sets: list[int], cancel: Cancel | None
+    inst: HittingSetInstance, sets: list[int], cancel: Cancel
 ) -> list[int]:
     """Bits of the lexicographically smallest optimum of one component:
     try the elements in ascending id order, keeping each one that still
@@ -330,7 +327,7 @@ def _lex_smallest(
 
 
 def min_hitting_set(
-    instance: HittingSetInstance, *, cancel: Cancel | None = None
+    instance: HittingSetInstance, *, cancel: Cancel
 ) -> frozenset[int]:
     """Minimum-cardinality hitting set; lexicographically smallest optimum.
 

@@ -1,5 +1,5 @@
 """Minimal correction sets and minimal unsatisfiable subsets over soft/hard
-clause splits.
+clause splits, and the search budget their oracle calls draw on.
 
 Soft clauses are addressed by their position in the given sequence; hard
 clauses always hold.  Extraction is deterministic: candidate clauses are
@@ -8,8 +8,9 @@ visited in ascending position order.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .formula import Clause
 from .solver import SatSession, SolveResult
@@ -18,7 +19,23 @@ from .solver import SatSession, SolveResult
 # perturbation before returning (test builds).
 check_minimality = False
 
-Cancel = Callable[[], None]
+
+class _OutOfTime(Exception):
+    """Raised by Budget.check once the deadline has passed."""
+
+
+class Budget:
+    """Deadline and oracle-call count of one search, shared by every
+    session the search opens.  seconds=None sets no deadline."""
+
+    def __init__(self, seconds: float | None):
+        self.start = time.monotonic()
+        self._end = None if seconds is None else self.start + seconds
+        self.calls = 0
+
+    def check(self) -> None:
+        if self._end is not None and time.monotonic() > self._end:
+            raise _OutOfTime
 
 
 class MinimalSetError(ValueError):
@@ -53,13 +70,17 @@ class SoftSolver:
     """Selector-guarded workspace over a fixed soft universe.
 
     num_vars must cover every variable in soft and hard clauses, or the
-    session raises SolverUsageError; selectors are allocated above it.  One workspace can serve many extractions, which
-    is what keeps the main reconciliation loop incremental.
+    session raises SolverUsageError; selectors are allocated above it.  One
+    workspace can serve many extractions, which is what keeps the main
+    reconciliation loop incremental.  With a budget, every solve first
+    polls its deadline and then counts against it.
     """
 
     def __init__(
-        self, soft: Sequence[Clause], hard: Iterable[Clause] = (), *, num_vars: int
+        self, soft: Sequence[Clause], hard: Iterable[Clause] = (), *, num_vars: int,
+        budget: Budget | None = None,
     ):
+        self.budget = budget
         self.soft = [tuple(c) for c in soft]
         self.session = SatSession(num_vars)
         for c in hard:
@@ -71,6 +92,9 @@ class SoftSolver:
         return len(self.soft)
 
     def solve_ids(self, ids: Iterable[int]) -> SolveResult:
+        if self.budget is not None:
+            self.budget.check()
+            self.budget.calls += 1
         return self.session.solve([self.selectors[i] for i in ids])
 
     def core_ids(self, result: SolveResult) -> set[int]:
@@ -87,17 +111,12 @@ class SoftSolver:
                     break
         return out
 
-    @property
-    def oracle_calls(self) -> int:
-        return self.session.solve_count
-
 
 def extract_mcs(
     ws: SoftSolver,
     seed: Iterable[int] = (),
     *,
     first_result: SolveResult | None = None,
-    cancel: Cancel | None = None,
 ) -> McsResult:
     """One minimal correction set disjoint from the seed clauses.
 
@@ -113,8 +132,6 @@ def extract_mcs(
     for i in range(len(ws.soft)):
         if i in kept:
             continue
-        if cancel is not None:
-            cancel()
         r = ws.solve_ids(kept | {i})
         if r.satisfiable:
             kept.add(i)
@@ -137,7 +154,7 @@ def _audit_mcs(ws: SoftSolver, mcs: frozenset[int], seed: set[int]) -> None:
         )
 
 
-def extract_mus(ws: SoftSolver, *, cancel: Cancel | None = None) -> MusResult:
+def extract_mus(ws: SoftSolver) -> MusResult:
     """One minimal unsatisfiable subset of the soft clauses (modulo hard).
 
     Deletion-based: drop candidates in ascending position order, keeping
@@ -151,8 +168,6 @@ def extract_mus(ws: SoftSolver, *, cancel: Cancel | None = None) -> MusResult:
     for i in sorted(current):
         if i not in current:
             continue
-        if cancel is not None:
-            cancel()
         r = ws.solve_ids(current - {i})
         if not r.satisfiable:
             current = ws.core_ids(r)

@@ -16,12 +16,12 @@ kb_a.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .formula import Clause, CnfFormula, negate_query, intersect_kbs, normalize_clause
 from .hitting import HittingSetInstance, min_hitting_set
-from .minsets import SoftSolver, extract_mcs, extract_mus
+from .minsets import Budget, SoftSolver, _OutOfTime, extract_mcs, extract_mus
 
 GENERAL = "general"
 RESTRICTED = "restricted"
@@ -38,8 +38,8 @@ class PremiseError(ReconcileError):
 class ReconcileTimeout(Exception):
     """Deadline hit; carries whatever statistics were gathered."""
 
-    def __init__(self, message: str, *, mcs_count: int = 0,
-                 oracle_calls: int = 0, elapsed: float = 0.0):
+    def __init__(self, message: str, *, mcs_count: int, oracle_calls: int,
+                 elapsed: float):
         super().__init__(message)
         self.mcs_count = mcs_count
         self.oracle_calls = oracle_calls
@@ -49,22 +49,6 @@ class ReconcileTimeout(Exception):
     def iterations(self) -> int:
         """Completed iterations: each one found an MCS."""
         return self.mcs_count
-
-
-class _Expired(Exception):
-    """Raised by _Deadline.check.  A function that opened a session adds
-    its solves to oracle_calls on the way out."""
-
-    oracle_calls = 0
-
-
-class _Deadline:
-    def __init__(self, seconds: float | None):
-        self._end = None if seconds is None else time.monotonic() + seconds
-
-    def check(self) -> None:
-        if self._end is not None and time.monotonic() > self._end:
-            raise _Expired
 
 
 @dataclass(frozen=True)
@@ -84,7 +68,6 @@ class Explanation:
     removed_from_kb_h: tuple[Clause, ...]
     mcs_count: int
     oracle_calls: int
-    elapsed: float = field(compare=False)
     mode: str = GENERAL
     restricted_consistency_ok: bool | None = None
 
@@ -115,47 +98,43 @@ def _env_vars(*formulas: CnfFormula) -> int:
     return max((f.num_vars for f in formulas), default=0)
 
 
-def _check_premises(kb_a: CnfFormula, neg_clauses: Sequence[Clause], num_vars: int) -> int:
-    """kb_a must be satisfiable and entail the query.  Returns solve count."""
-    ws = SoftSolver(neg_clauses, hard=kb_a.clauses, num_vars=num_vars)
+def _check_premises(kb_a: CnfFormula, neg_clauses: Sequence[Clause], num_vars: int,
+                    budget: Budget) -> None:
+    """kb_a must be satisfiable and entail the query."""
+    ws = SoftSolver(neg_clauses, hard=kb_a.clauses, num_vars=num_vars, budget=budget)
     if not ws.solve_ids(()).satisfiable:
         raise PremiseError("kb_a is unsatisfiable")
     if ws.solve_ids(range(len(ws))).satisfiable:
         raise PremiseError("kb_a does not entail the query")
-    return ws.oracle_calls
 
 
 def preprocess_consistency(
-    kb_a: CnfFormula, kb_h: CnfFormula, num_vars: int, cancel=None,
-) -> tuple[tuple[Clause, ...], tuple[Clause, ...], int]:
+    kb_a: CnfFormula, kb_h: CnfFormula, num_vars: int, budget: Budget,
+) -> tuple[tuple[Clause, ...], tuple[Clause, ...]]:
     """Restore mutual consistency by removing a minimal correction set of
-    kb_h-only clauses.  Returns (kb_h clauses kept, clauses removed, solves).
+    kb_h-only clauses.  Returns (kb_h clauses kept, clauses removed).
 
     num_vars must cover both KBs' variables.  kb_a must be satisfiable
-    (checked by the caller)."""
+    (checked by the caller).  Every solve draws on the budget."""
     in_a = kb_a.clause_set()
     diff = [c for c in kb_h.clauses if c not in in_a]
     if not diff:
-        return kb_h.clauses, (), 0
-    ws = SoftSolver(diff, hard=kb_a.clauses, num_vars=num_vars)
+        return kb_h.clauses, ()
+    ws = SoftSolver(diff, hard=kb_a.clauses, num_vars=num_vars, budget=budget)
     if ws.solve_ids(range(len(diff))).satisfiable:
-        return kb_h.clauses, (), ws.oracle_calls
-    try:
-        mcs = extract_mcs(ws, cancel=cancel)
-    except _Expired as exc:
-        exc.oracle_calls += ws.oracle_calls
-        raise
-    removed = {diff[i] for i in mcs.ids}
+        return kb_h.clauses, ()
+    removed = {diff[i] for i in extract_mcs(ws).ids}
     kept = tuple(c for c in kb_h.clauses if c not in removed)
-    return kept, tuple(sorted(removed)), ws.oracle_calls
+    return kept, tuple(sorted(removed))
 
 
 def reconcile(problem: ReconcileProblem, *, timeout: float | None = None) -> Explanation:
     """Smallest-update support reconciling problem.kb_h with problem.kb_a.
 
     Raises PremiseError when kb_a is unsatisfiable or does not entail the
-    query, and ReconcileTimeout when the deadline passes between oracle
-    calls.  When kb_h already entails the query the update comes out empty.
+    query, and ReconcileTimeout once the deadline has passed: it is polled
+    before every oracle call and at every hitting-set search node.  When
+    kb_h already entails the query the update comes out empty.
     """
     if problem.mode not in (GENERAL, RESTRICTED):
         raise ReconcileError(f"unknown mode {problem.mode!r}")
@@ -180,76 +159,65 @@ def _search(problem: ReconcileProblem, timeout: float | None, *,
     minimum hitting set of the MCSes found so far as the seed and stop at
     the first seed whose candidate clauses, with the context, entail the
     query.  With trim, a MUS pass adds the context clauses the seed needs."""
-    started = time.monotonic()
-    deadline = _Deadline(timeout)
+    budget = Budget(timeout)
     kb_a, kb_h, query = problem.kb_a, problem.kb_h, problem.query
     env = _env_vars(kb_a, kb_h, query)
     neg = negate_query(query, env + 1)
     total_vars = env + len(neg.aux_vars)
 
-    oracle_calls = 0
     instance = HittingSetInstance()
-    ws = mus_ws = None
     try:
-        oracle_calls += _check_premises(kb_a, neg.clauses, total_vars)
+        _check_premises(kb_a, neg.clauses, total_vars, budget)
 
         hard_ids, soft_ids = intersect_kbs(kb_a, kb_h)
         shared = [kb_a.clauses[i] for i in sorted(hard_ids)]
         candidates = [kb_a.clauses[i] for i in sorted(soft_ids)]
 
-        kept_h, removed, calls = preprocess_consistency(kb_a, kb_h, env, deadline.check)
-        oracle_calls += calls
+        kept_h, removed = preprocess_consistency(kb_a, kb_h, env, budget)
 
         context = shared if problem.mode == RESTRICTED else list(kept_h)
-        ws = SoftSolver(candidates, hard=context + list(neg.clauses), num_vars=total_vars)
+        ws = SoftSolver(candidates, hard=context + list(neg.clauses),
+                        num_vars=total_vars, budget=budget)
         while True:
-            deadline.check()
-            seed = min_hitting_set(instance, cancel=deadline.check)
+            seed = min_hitting_set(instance, cancel=budget.check)
             res = ws.solve_ids(seed)
             if not res.satisfiable:
                 break
-            mcs = extract_mcs(ws, seed=seed, first_result=res, cancel=deadline.check)
+            mcs = extract_mcs(ws, seed=seed, first_result=res)
             instance.add_set(mcs.ids)
         epsilon = [candidates[i] for i in sorted(seed)]
         if trim:
-            mus_ws = SoftSolver(
-                context, hard=epsilon + list(neg.clauses), num_vars=total_vars
-            )
-            mus = extract_mus(mus_ws, cancel=deadline.check)
-            oracle_calls += mus_ws.oracle_calls
+            mus_ws = SoftSolver(context, hard=epsilon + list(neg.clauses),
+                                num_vars=total_vars, budget=budget)
+            mus = extract_mus(mus_ws)
             support = tuple(sorted(set(epsilon) | {context[i] for i in mus.ids}))
             # The context lies inside kb_h and the candidates outside it.
             update = tuple(sorted(epsilon))
         else:
             support, update = tuple(sorted(epsilon)), ()
-        oracle_calls += ws.oracle_calls
         consistency_ok = None
         if problem.mode == RESTRICTED:
             # Preprocessing removes only kb_h-only clauses, so the shared
             # context survives it and support \ kept_h is the update.
-            check = SoftSolver((), hard=[*kept_h, *update], num_vars=total_vars)
+            check = SoftSolver((), hard=[*kept_h, *update], num_vars=total_vars,
+                               budget=budget)
             consistency_ok = check.solve_ids(()).satisfiable
-            oracle_calls += check.oracle_calls
-        return Explanation(
-            support=support,
-            update=update,
-            removed_from_kb_h=tuple(removed),
-            mcs_count=len(instance),
-            oracle_calls=oracle_calls,
-            elapsed=time.monotonic() - started,
-            mode=problem.mode,
-            restricted_consistency_ok=consistency_ok,
-        )
-    except _Expired as exc:
-        for session in (ws, mus_ws):
-            if session is not None:
-                oracle_calls += session.oracle_calls
+    except _OutOfTime:
         raise ReconcileTimeout(
             f"reconciliation exceeded {timeout} seconds",
             mcs_count=len(instance),
-            oracle_calls=oracle_calls + exc.oracle_calls,
-            elapsed=time.monotonic() - started,
+            oracle_calls=budget.calls,
+            elapsed=time.monotonic() - budget.start,
         ) from None
+    return Explanation(
+        support=support,
+        update=update,
+        removed_from_kb_h=tuple(removed),
+        mcs_count=len(instance),
+        oracle_calls=budget.calls,
+        mode=problem.mode,
+        restricted_consistency_ok=consistency_ok,
+    )
 
 
 def verify_explanation(

@@ -94,16 +94,11 @@ class SatSession:
         self._ok = True
         self._hard_audit: list[tuple[int, ...]] = []
         self._soft_audit: dict[int, tuple[int, ...]] = {}
-        self.solve_count = 0
         self.conflicts = 0
         self.decisions = 0
         for _ in range(num_vars):
             self._new_var()
         self._problem_vars = num_vars
-
-    @property
-    def num_vars(self) -> int:
-        return self._nvars
 
     def _new_var(self) -> int:
         self._nvars += 1
@@ -154,7 +149,7 @@ class SatSession:
 
     def _add_clause(self, lits: list[int]) -> None:
         if self._trail_lim:
-            self._cancel_until(0)
+            self._backtrack(0)
         if not self._ok:
             return
         out: list[int] = []
@@ -233,7 +228,7 @@ class SatSession:
             watches[-p] = keep
         return None
 
-    def _cancel_until(self, level: int) -> None:
+    def _backtrack(self, level: int) -> None:
         if len(self._trail_lim) <= level:
             return
         bound = self._trail_lim[level]
@@ -386,9 +381,8 @@ class SatSession:
             if a == 0 or abs(a) > self._nvars:
                 raise SolverUsageError(f"assumption {a} references an unregistered variable")
         assumps = sorted(aset)
-        self.solve_count += 1
         if self._trail_lim:
-            self._cancel_until(0)
+            self._backtrack(0)
         if self._ok and self._propagate() is not None:
             self._ok = False
         if not self._ok:
@@ -412,7 +406,7 @@ class SatSession:
                     self._ok = False
                     return SolveResult(False, conflict_subset=frozenset())
                 learnt, back = self._analyze(confl)
-                self._cancel_until(back)
+                self._backtrack(back)
                 self._record_learnt(learnt)
                 self._var_inc /= 0.95
                 conflicts += 1
@@ -420,7 +414,7 @@ class SatSession:
                     conflicts = 0
                     restarts += 1
                     limit = _RESTART_BASE * _luby(restarts + 1)
-                    self._cancel_until(0)
+                    self._backtrack(0)
                     if len(self._learnts) > max_learnts:
                         self._reduce_db()
                 continue
@@ -432,7 +426,7 @@ class SatSession:
                     self._trail_lim.append(len(self._trail))
                 elif v == -1:
                     subset = self._analyze_final(p)
-                    self._cancel_until(0)
+                    self._backtrack(0)
                     return SolveResult(False, conflict_subset=subset)
                 else:
                     self._trail_lim.append(len(self._trail))
@@ -443,7 +437,7 @@ class SatSession:
                     model = tuple(a == 1 for a in self._assign)
                     if check_models:
                         self._audit(model, aset)
-                    self._cancel_until(0)
+                    self._backtrack(0)
                     return SolveResult(True, model=model)
                 self.decisions += 1
                 self._trail_lim.append(len(self._trail))

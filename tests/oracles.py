@@ -134,7 +134,7 @@ def brute_force_min_update(problem, *, max_candidates: int = 14):
     sessions; neither path shares state with reconcile's search.
     """
     from mrex.formula import intersect_kbs, negate_query
-    from mrex.minsets import SoftSolver
+    from mrex.minsets import Budget, SoftSolver
     from mrex.reconcile import (
         RESTRICTED,
         PremiseError,
@@ -150,7 +150,7 @@ def brute_force_min_update(problem, *, max_candidates: int = 14):
         raise ReconcileError(
             f"{len(candidates)} candidate clauses exceed the exhaustive sweep limit"
         )
-    kept_h, _removed, _ = preprocess_consistency(kb_a, kb_h, env)
+    kept_h, _removed = preprocess_consistency(kb_a, kb_h, env, Budget(None))
     if problem.mode == RESTRICTED:
         context = [kb_a.clauses[i] for i in sorted(hard_ids)]
     else:
@@ -221,6 +221,20 @@ def tt_all_mcses(soft: Sequence[Clause], hard: Sequence[Clause], num_vars: int) 
         if all(not sat[(full ^ m) | (1 << b)] for b in range(k) if m >> b & 1):
             out.add(frozenset(b for b in range(k) if m >> b & 1))
     return out
+
+
+def no_cancel() -> None:
+    """The `cancel` of a hitting-set search that has no deadline."""
+
+
+def hitting_instance(sets: Iterable[Iterable[int]] = ()):
+    """A HittingSetInstance holding the given sets, added in order."""
+    from mrex.hitting import HittingSetInstance
+
+    instance = HittingSetInstance()
+    for s in sets:
+        instance.add_set(s)
+    return instance
 
 
 def mask_ids(instance, mask: int) -> frozenset[int]:

@@ -4,39 +4,41 @@ import random
 
 import pytest
 
-from mrex.hitting import HittingSetInstance, _undominated, min_hitting_set
+from mrex.hitting import _undominated, min_hitting_set
 
 from oracles import (
     all_minimal_hitting_sets,
     brute_min_hitting_set_size,
+    hitting_instance,
     instance_sets,
     mask_ids,
+    no_cancel,
 )
 
 
 def test_no_sets_empty_answer():
-    assert min_hitting_set(HittingSetInstance()) == frozenset()
+    assert min_hitting_set(hitting_instance(), cancel=no_cancel) == frozenset()
 
 
 def test_empty_member_set_rejected():
-    inst = HittingSetInstance()
+    inst = hitting_instance()
     with pytest.raises(ValueError):
         inst.add_set(())
 
 
 def test_single_pair_prefers_smaller_id():
-    assert min_hitting_set(HittingSetInstance([{2, 4}])) == {2}
+    assert min_hitting_set(hitting_instance([{2, 4}]), cancel=no_cancel) == {2}
 
 
 def test_two_sets_from_worked_trace():
-    assert min_hitting_set(HittingSetInstance([{2, 4}, {1}])) == {1, 2}
+    assert min_hitting_set(hitting_instance([{2, 4}, {1}]), cancel=no_cancel) == {1, 2}
 
 
 def test_chain_example_lexicographic_optimum():
     # {1,3}, {2,3}, {2,4} are the size-2 hitting sets; lexicographic
     # tie-break picks {1,3} (no size-1 solution exists)
-    inst = HittingSetInstance([{1, 2}, {2, 3}, {3, 4}])
-    got = min_hitting_set(inst)
+    inst = hitting_instance([{1, 2}, {2, 3}, {3, 4}])
+    got = min_hitting_set(inst, cancel=no_cancel)
     assert got == {1, 3}
     assert len(got) == brute_min_hitting_set_size(instance_sets(inst))
     assert got == min(all_minimal_hitting_sets(instance_sets(inst)),
@@ -44,23 +46,23 @@ def test_chain_example_lexicographic_optimum():
 
 
 def test_duplicate_and_superset_sets_ignored():
-    a = min_hitting_set(HittingSetInstance([{1, 2}, {1, 2}, {1, 2, 3}, {4}]))
-    b = min_hitting_set(HittingSetInstance([{1, 2}, {4}]))
+    a = min_hitting_set(hitting_instance([{1, 2}, {1, 2}, {1, 2, 3}, {4}]), cancel=no_cancel)
+    b = min_hitting_set(hitting_instance([{1, 2}, {4}]), cancel=no_cancel)
     assert a == b
 
 
 def test_fresh_singleton_grows_optimum_by_one():
     rng = random.Random(31)
     for _ in range(40):
-        inst = HittingSetInstance()
+        inst = hitting_instance()
         universe = list(range(1, rng.randint(4, 9)))
         for _ in range(rng.randint(1, 6)):
             size = rng.randint(1, 3)
             inst.add_set(rng.sample(universe, min(size, len(universe))))
-        before = min_hitting_set(inst)
+        before = min_hitting_set(inst, cancel=no_cancel)
         fresh = max(e for s in instance_sets(inst) for e in s) + 1
         inst.add_set({fresh})
-        after = min_hitting_set(inst)
+        after = min_hitting_set(inst, cancel=no_cancel)
         assert len(after) == len(before) + 1
         assert fresh in after
 
@@ -68,12 +70,12 @@ def test_fresh_singleton_grows_optimum_by_one():
 def test_incremental_add_set_monotone():
     rng = random.Random(77)
     for _ in range(30):
-        inst = HittingSetInstance()
+        inst = hitting_instance()
         universe = list(range(1, 10))
         last = 0
         for _ in range(rng.randint(2, 7)):
             inst.add_set(rng.sample(universe, rng.randint(1, 3)))
-            size = len(min_hitting_set(inst))
+            size = len(min_hitting_set(inst, cancel=no_cancel))
             assert size >= last
             last = size
 
@@ -83,11 +85,11 @@ def test_exactness_against_brute_force_random():
     for _ in range(120):
         n_universe = rng.randint(3, 12)
         universe = list(range(1, n_universe + 1))
-        inst = HittingSetInstance()
+        inst = hitting_instance()
         for _ in range(rng.randint(1, 10)):
             size = rng.randint(1, min(4, n_universe))
             inst.add_set(rng.sample(universe, size))
-        got = min_hitting_set(inst)
+        got = min_hitting_set(inst, cancel=no_cancel)
         assert all(got & s for s in instance_sets(inst))
         assert len(got) == brute_min_hitting_set_size(instance_sets(inst))
         minimal = all_minimal_hitting_sets(instance_sets(inst))
@@ -99,29 +101,29 @@ def test_exactness_against_brute_force_random():
 def test_solution_must_cover_every_set():
     rng = random.Random(555)
     for _ in range(50):
-        inst = HittingSetInstance()
+        inst = hitting_instance()
         for _ in range(rng.randint(1, 8)):
             inst.add_set(rng.sample(range(1, 15), rng.randint(1, 4)))
-        got = min_hitting_set(inst)
+        got = min_hitting_set(inst, cancel=no_cancel)
         for s in instance_sets(inst):
             assert got & s
 
 
 def test_element_zero_is_a_valid_member():
-    inst = HittingSetInstance()
+    inst = hitting_instance()
     inst.add_set({0})
-    assert min_hitting_set(inst) == frozenset({0})
+    assert min_hitting_set(inst, cancel=no_cancel) == frozenset({0})
     inst.add_set({1, 2})
-    assert min_hitting_set(inst) == frozenset({0, 1})
+    assert min_hitting_set(inst, cancel=no_cancel) == frozenset({0, 1})
 
 
 def test_zero_based_random_universe():
     rng = random.Random(42)
     for _ in range(60):
-        inst = HittingSetInstance()
+        inst = hitting_instance()
         for _ in range(rng.randint(1, 8)):
             inst.add_set(rng.sample(range(0, 9), rng.randint(1, 3)))
-        got = min_hitting_set(inst)
+        got = min_hitting_set(inst, cancel=no_cancel)
         assert all(got & s for s in instance_sets(inst))
         assert len(got) == brute_min_hitting_set_size(instance_sets(inst))
 
@@ -139,14 +141,14 @@ def test_reconcile_growth_pattern_matches_brute_force():
     pool = [0, 1, 2, 3, 62, 63, 64, 65, 127, 128, 200]
     for _ in range(60):
         universe = rng.sample(pool, rng.randint(4, 9))
-        inst = HittingSetInstance()
-        answer = min_hitting_set(inst)
+        inst = hitting_instance()
+        answer = min_hitting_set(inst, cancel=no_cancel)
         while True:
             free = [e for e in universe if e not in answer]
             if not free:
                 break
             inst.add_set(rng.sample(free, rng.randint(1, min(3, len(free)))))
-            answer = min_hitting_set(inst)
+            answer = min_hitting_set(inst, cancel=no_cancel)
             assert answer == _lex_smallest_minimum(instance_sets(inst)), instance_sets(inst)
 
 
@@ -154,24 +156,24 @@ def test_large_ids_get_dense_bits():
     rng = random.Random(10_000)
     ids = [10_000 + 97 * i for i in range(14)]
     sets = [rng.sample(ids, rng.randint(1, 4)) for _ in range(9)]
-    inst = HittingSetInstance(sets)
+    inst = hitting_instance(sets)
     distinct = len(set().union(*sets))
     assert max(m.bit_length() for m in inst.masks) <= distinct
-    assert min_hitting_set(inst) == _lex_smallest_minimum(map(frozenset, sets))
+    assert min_hitting_set(inst, cancel=no_cancel) == _lex_smallest_minimum(map(frozenset, sets))
 
 
 def test_sets_added_against_id_order_give_lex_minimum():
     # later sets hold smaller ids, so bit order runs against id order
-    inst = HittingSetInstance([{8, 9}, {6, 7}, {4, 9}, {2, 7}, {0, 5}])
+    inst = hitting_instance([{8, 9}, {6, 7}, {4, 9}, {2, 7}, {0, 5}])
     assert inst.ids == [8, 9, 6, 7, 4, 2, 0, 5]
-    assert min_hitting_set(inst) == {0, 7, 9}
+    assert min_hitting_set(inst, cancel=no_cancel) == {0, 7, 9}
     rng = random.Random(606)
     for _ in range(80):
         universe = list(range(rng.randint(3, 11)))
         sets = [rng.sample(universe, rng.randint(1, 3))
                 for _ in range(rng.randint(1, 8))]
         sets.sort(key=min, reverse=True)
-        got = min_hitting_set(HittingSetInstance(sets))
+        got = min_hitting_set(hitting_instance(sets), cancel=no_cancel)
         assert got == _lex_smallest_minimum(map(frozenset, sets)), sets
 
 
@@ -179,22 +181,22 @@ def test_domination_deletes_a_member_of_the_lex_smallest_optimum():
     # 5 lies in every set holding 1, and 6 in every set holding 2: the
     # reduction deletes 1 and 2 and forces 5 and 6, which fixes the size,
     # while the answer is still the lexicographically smallest optimum
-    inst = HittingSetInstance([{1, 5}, {2, 6}])
+    inst = hitting_instance([{1, 5}, {2, 6}])
     forced, rest = _undominated(inst, inst.masks)
     assert rest == [] and mask_ids(inst, forced) == {5, 6}
-    assert min_hitting_set(inst) == {1, 2}
-    assert min_hitting_set(inst) == _lex_smallest_minimum(instance_sets(inst))
+    assert min_hitting_set(inst, cancel=no_cancel) == {1, 2}
+    assert min_hitting_set(inst, cancel=no_cancel) == _lex_smallest_minimum(instance_sets(inst))
 
 
 def test_forced_elements_count_when_the_rest_splits():
     # 9 dominates 10, so {9, 10} shrinks to {9}; forcing 9 hits {1, 4, 9}
     # and leaves two separate triangles, each needing two elements
-    inst = HittingSetInstance(
+    inst = hitting_instance(
         [{1, 2}, {2, 3}, {1, 3}, {4, 5}, {5, 6}, {4, 6}, {1, 4, 9}, {9, 10}]
     )
     forced, rest = _undominated(inst, inst.masks)
     assert mask_ids(inst, forced) == {9} and len(rest) == 6
-    got = min_hitting_set(inst)
+    got = min_hitting_set(inst, cancel=no_cancel)
     assert len(got) == brute_min_hitting_set_size(instance_sets(inst)) == 5
     assert got == _lex_smallest_minimum(instance_sets(inst))
 
@@ -220,10 +222,10 @@ def test_domination_against_brute_force_on_nested_columns():
     fired = 0
     for _ in range(120):
         sets = _nested_column_family(rng)
-        inst = HittingSetInstance()
+        inst = hitting_instance()
         for s in sets:
             inst.add_set(s)
-            got = min_hitting_set(inst)
+            got = min_hitting_set(inst, cancel=no_cancel)
             family = instance_sets(inst)
             assert len(got) == brute_min_hitting_set_size(family)
             assert got == _lex_smallest_minimum(family), family
@@ -254,15 +256,15 @@ def test_cancelled_solve_leaves_instance_usable():
         universe = list(range(0, 90, 4))
         sets = [rng.sample(universe, rng.randint(2, 4)) for _ in range(14)]
         for n in (1, 2, 3, 5, 8, 13, 30, 80, 250):
-            inst = HittingSetInstance()
+            inst = hitting_instance()
             for count, s in enumerate(sets, 1):
                 inst.add_set(s)
                 try:
                     min_hitting_set(inst, cancel=_cancel_on_poll(n))
                 except _Abort:
                     aborted += 1
-                expected = min_hitting_set(HittingSetInstance(sets[:count]))
-                assert min_hitting_set(inst) == expected
+                expected = min_hitting_set(hitting_instance(sets[:count]), cancel=no_cancel)
+                assert min_hitting_set(inst, cancel=no_cancel) == expected
     assert aborted > 100
 
 
@@ -271,9 +273,9 @@ def test_search_node_count_is_deterministic():
     sets = [rng.sample(range(30), 3) for _ in range(12)]
     counts = []
     for _ in range(2):
-        inst = HittingSetInstance()
+        inst = hitting_instance()
         for s in sets:
             inst.add_set(s)
-            min_hitting_set(inst)
+            min_hitting_set(inst, cancel=no_cancel)
         counts.append(inst.nodes)
     assert counts[0] == counts[1] > 0

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from mrex.minsets import (
+    Budget,
     McsResult,
     MusResult,
     NothingToCorrectError,
@@ -110,12 +111,13 @@ def test_extracted_mus_is_among_enumerated_random():
 
 def test_shared_workspace_reuse():
     hard = [(-3,), (5,), (-1,)]
-    ws = SoftSolver(BASE, hard, num_vars=5)
+    budget = Budget(None)
+    ws = SoftSolver(BASE, hard, num_vars=5, budget=budget)
     first = extract_mcs(ws)
     second = extract_mcs(ws, seed={1})
     assert first.ids in {frozenset({0}), frozenset({1, 3}), frozenset({1, 4})}
     assert second.ids == {0}
-    assert ws.oracle_calls > 0
+    assert budget.calls > 0
 
 
 def test_result_kinds():

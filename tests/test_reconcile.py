@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-import mrex.reconcile as reconcile_module
+import mrex.minsets as minsets_module
 from mrex.formula import CnfFormula
+from mrex.minsets import Budget
 from mrex.reconcile import (
     GENERAL,
     RESTRICTED,
@@ -38,6 +39,8 @@ from oracles import (
 KB_A = CnfFormula.from_clauses([(1, 2), (-2, 3), (-3,), (-2, 4), (-4,)])
 KB_H = CnfFormula.from_clauses([(-3,), (5,)])
 QUERY_A = CnfFormula.from_clauses([(1,)])
+# (3,) and (-1, 4) conflict with KB_A, so preprocessing makes solves too.
+KB_H_CONFLICTING = CnfFormula.from_clauses([(-3,), (5,), (3,), (-1, 4)])
 
 
 def _formula(clauses, num_vars=0):
@@ -57,7 +60,6 @@ class TestWorkedExample:
         assert expl.iterations == 3
         assert expl.mcs_count == 2
         assert expl.oracle_calls > 0
-        assert expl.elapsed >= 0.0
 
     def test_restricted_mode_same_answer_here(self):
         # The only kb_h clause the support uses, (-3,), is shared with kb_a.
@@ -151,17 +153,15 @@ class TestEdgeCases:
             solves += 1
             return real_solve(session, assumptions)
 
-        def check(deadline):
+        def check(budget):
             nonlocal polls
             polls += 1
             if polls == fire_at:
-                raise reconcile_module._Expired
+                raise minsets_module._OutOfTime
 
         monkeypatch.setattr(SatSession, "solve", counted_solve)
-        monkeypatch.setattr(reconcile_module._Deadline, "check", check)
-        # (3,) and (-1, 4) conflict with kb_a: preprocessing polls the deadline
-        kb_h = _formula([(-3,), (5,), (3,), (-1, 4)])
-        problem = ReconcileProblem(KB_A, kb_h, QUERY_A, mode=mode)
+        monkeypatch.setattr(Budget, "check", check)
+        problem = ReconcileProblem(KB_A, KB_H_CONFLICTING, QUERY_A, mode=mode)
         timeouts = 0
         while True:
             fire_at += 1
@@ -175,6 +175,35 @@ class TestEdgeCases:
             assert expl.oracle_calls == solves
             break
         assert timeouts == polls >= 4
+
+    @pytest.mark.parametrize("mode", [GENERAL, RESTRICTED])
+    def test_expired_deadline_stops_before_any_oracle_call(self, mode):
+        problem = ReconcileProblem(KB_A, KB_H_CONFLICTING, QUERY_A, mode=mode)
+        with pytest.raises(ReconcileTimeout) as exc:
+            reconcile(problem, timeout=1e-9)
+        assert exc.value.oracle_calls == 0
+        assert exc.value.mcs_count == 0
+
+    @pytest.mark.parametrize("mode", [GENERAL, RESTRICTED])
+    def test_every_solve_follows_a_deadline_poll(self, monkeypatch, mode):
+        events = []
+        real_solve, real_check = SatSession.solve, Budget.check
+
+        def logged_solve(session, assumptions=()):
+            events.append("solve")
+            return real_solve(session, assumptions)
+
+        def logged_check(budget):
+            events.append("check")
+            real_check(budget)
+
+        monkeypatch.setattr(SatSession, "solve", logged_solve)
+        monkeypatch.setattr(Budget, "check", logged_check)
+        problem = ReconcileProblem(KB_A, KB_H_CONFLICTING, QUERY_A, mode=mode)
+        expl = reconcile(problem, timeout=60)
+        solves = [i for i, e in enumerate(events) if e == "solve"]
+        assert len(solves) == expl.oracle_calls > 0
+        assert all(i > 0 and events[i - 1] == "check" for i in solves)
 
     def test_multi_clause_query(self):
         # query (a ∧ (c ∨ d)) is unattainable from kb_a (it forces ¬c, ¬d),
@@ -214,14 +243,14 @@ class TestModeSeparation:
 
 class TestPreprocessing:
     def test_consistent_inputs_untouched(self):
-        kept, removed, _ = preprocess_consistency(KB_A, KB_H, 5)
+        kept, removed = preprocess_consistency(KB_A, KB_H, 5, Budget(None))
         assert kept == KB_H.clauses
         assert removed == ()
 
     def test_removal_is_minimal_correction(self):
         kb_a = _formula([(1,), (2,)])
         kb_h = _formula([(-1,), (-2,), (3,)])
-        kept, removed, _ = preprocess_consistency(kb_a, kb_h, 3)
+        kept, removed = preprocess_consistency(kb_a, kb_h, 3, Budget(None))
         assert set(removed) == {(-1,), (-2,)}
         assert kept == ((3,),)
         assert tt_satisfiable(list(kb_a.clauses) + list(kept), 3)
@@ -238,7 +267,7 @@ class TestRandomAgreement:
             problem = ReconcileProblem(kb_a, kb_h, query)
             expl = reconcile(problem, timeout=60)
 
-            kept, removed, _ = preprocess_consistency(kb_a, kb_h, 8)
+            kept, removed = preprocess_consistency(kb_a, kb_h, 8, Budget(None))
             candidates = [c for c in kb_a.clauses if c not in kb_h.clause_set()]
             expected = tt_min_update_size(list(kept), candidates, query_l, 8)
             assert expected is not None
@@ -307,7 +336,7 @@ class TestDeterminismAndSerialization:
         failing verification."""
         expl = Explanation(
             support=((-3,), (1, 2)), update=((1, 2),), removed_from_kb_h=((),),
-            mcs_count=2, oracle_calls=11, elapsed=0.5, mode=RESTRICTED,
+            mcs_count=2, oracle_calls=11, mode=RESTRICTED,
             restricted_consistency_ok=False,
         )
         verification = VerificationReport(

@@ -168,7 +168,7 @@ def test_model_is_total_over_registered_vars():
     s.add_hard((2,))
     res = s.solve()
     assert res.satisfiable
-    assert len(res.model) == s.num_vars + 1
+    assert len(res.model) == s._nvars + 1
 
 
 def test_incremental_additions_between_solves():
@@ -279,11 +279,11 @@ def test_pick_branch_matches_brute_force():
 
         def checked(s=s, pick=pick):
             nonlocal picks
-            free = [(-s._activity[v], v) for v in range(1, s.num_vars + 1)
+            free = [(-s._activity[v], v) for v in range(1, s._nvars + 1)
                     if s._assign[v] == 0]
             v = pick()
             assert v == (min(free)[1] if free else 0)
-            assert len(s._order) == s.num_vars
+            assert len(s._order) == s._nvars
             picks += 1
             return v
 
