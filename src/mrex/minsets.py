@@ -73,7 +73,8 @@ class SoftSolver:
     session raises SolverUsageError; selectors are allocated above it.  One
     workspace can serve many extractions, which is what keeps the main
     reconciliation loop incremental.  With a budget, every solve first
-    polls its deadline and then counts against it.
+    polls its deadline and then counts against it.  The workspace keeps its
+    hard clauses and num_vars so that a narrower one can be opened beside it.
     """
 
     def __init__(
@@ -81,9 +82,11 @@ class SoftSolver:
         budget: Budget | None = None,
     ):
         self.budget = budget
+        self.num_vars = num_vars
         self.soft = [tuple(c) for c in soft]
+        self.hard = [tuple(c) for c in hard]
         self.session = SatSession(num_vars)
-        for c in hard:
+        for c in self.hard:
             self.session.add_hard(c)
         self.selectors = [self.session.add_soft(c) for c in self.soft]
         self._positions = {s: i for i, s in enumerate(self.selectors)}
@@ -132,10 +135,12 @@ def extract_mcs(
     for i in range(len(ws.soft)):
         if i in kept:
             continue
-        r = ws.solve_ids(kept | {i})
+        kept.add(i)
+        r = ws.solve_ids(kept)
         if r.satisfiable:
-            kept.add(i)
             kept.update(ws.satisfied_ids(r.model, kept))
+        else:
+            kept.discard(i)
     mcs = frozenset(range(len(ws.soft))) - kept
     if not mcs:
         raise NothingToCorrectError("hard and soft clauses are jointly satisfiable")
@@ -157,21 +162,28 @@ def _audit_mcs(ws: SoftSolver, mcs: frozenset[int], seed: set[int]) -> None:
 def extract_mus(ws: SoftSolver) -> MusResult:
     """One minimal unsatisfiable subset of the soft clauses (modulo hard).
 
-    Deletion-based: drop candidates in ascending position order, keeping
-    those whose removal restores satisfiability.  Conflict subsets from the
-    oracle prune candidates that cannot be in the current core.
+    One solve over the whole workspace gives a first core; the rest of the
+    search runs in a fresh workspace that holds only the core's clauses, with
+    the same hard clauses, num_vars and budget ("clause-set refinement",
+    Belov & Marques-Silva, "MUSer2", JSAT 2012).  There the pass is
+    deletion-based: drop candidates in ascending position order, keeping
+    those whose removal restores satisfiability, and shrink to the conflict
+    subset of every UNSAT answer.  Positions map back to ws.
     """
     res = ws.solve_ids(range(len(ws.soft)))
     if res.satisfiable:
         raise NotUnsatisfiableError("hard and soft clauses are jointly satisfiable")
-    current = ws.core_ids(res)
-    for i in sorted(current):
+    core = sorted(ws.core_ids(res))
+    sub = SoftSolver([ws.soft[i] for i in core], ws.hard, num_vars=ws.num_vars,
+                     budget=ws.budget)
+    current = set(range(len(core)))
+    for i in range(len(core)):
         if i not in current:
             continue
-        r = ws.solve_ids(current - {i})
+        r = sub.solve_ids(current - {i})
         if not r.satisfiable:
-            current = ws.core_ids(r)
-    mus = frozenset(current)
+            current = sub.core_ids(r)
+    mus = frozenset(core[i] for i in current)
     if check_minimality:
         _audit_mus(ws, mus)
     return MusResult(mus)

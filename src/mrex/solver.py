@@ -71,17 +71,19 @@ class SatSession:
     """One incremental solver instance; operations own their sessions."""
 
     def __init__(self, num_vars: int):
-        self._nvars = 0
-        self._assign: list[int] = [0]  # +1 true, -1 false, 0 unassigned
-        self._level: list[int] = [0]
-        self._reason: list[list[int] | None] = [None]
-        self._phase: list[bool] = [False]
-        self._activity: list[float] = [0.0]
+        # Per-variable arrays, entry 0 unused; _assign holds +1 true, -1
+        # false, 0 unassigned.
+        self._nvars = num_vars
+        self._assign: list[int] = [0] * (num_vars + 1)
+        self._level: list[int] = [0] * (num_vars + 1)
+        self._reason: list[list[int] | None] = [None] * (num_vars + 1)
+        self._phase: list[bool] = [False] * (num_vars + 1)
+        self._activity: list[float] = [0.0] * (num_vars + 1)
         # Variables sorted by (-activity, var); _rank[v] is v's position and
         # every variable ranked below _next is assigned.  _bump only marks
         # the order stale and the next _pick_branch re-sorts it.
-        self._order: list[int] = []
-        self._rank: list[int] = [0]
+        self._order: list[int] = list(range(1, num_vars + 1))
+        self._rank: list[int] = [0, *range(num_vars)]
         self._next = 0
         self._stale = False
         self._watches: dict[int, list[list[int]]] = {}
@@ -96,8 +98,6 @@ class SatSession:
         self._soft_audit: dict[int, tuple[int, ...]] = {}
         self.conflicts = 0
         self.decisions = 0
-        for _ in range(num_vars):
-            self._new_var()
         self._problem_vars = num_vars
 
     def _new_var(self) -> int:
@@ -398,8 +398,12 @@ class SatSession:
         conflicts = 0
         restarts = 0
         limit = _RESTART_BASE * _luby(1)
+        trail = self._trail
+        watches = self._watches
         while True:
-            confl = self._propagate()
+            # A decision or assumption whose negation nothing watches has
+            # already stepped _qhead past itself; only real work calls here.
+            confl = self._propagate() if self._qhead < len(trail) else None
             if confl is not None:
                 self.conflicts += 1
                 if not self._trail_lim:
@@ -431,6 +435,8 @@ class SatSession:
                 else:
                     self._trail_lim.append(len(self._trail))
                     self._enqueue(p, None)
+                    if not watches.get(-p):
+                        self._qhead += 1
             else:
                 v = self._pick_branch()
                 if v == 0:
@@ -441,7 +447,10 @@ class SatSession:
                     return SolveResult(True, model=model)
                 self.decisions += 1
                 self._trail_lim.append(len(self._trail))
-                self._enqueue(v if self._phase[v] else -v, None)
+                lit = v if self._phase[v] else -v
+                self._enqueue(lit, None)
+                if not watches.get(-lit):
+                    self._qhead += 1
 
     def _audit(self, model: tuple[bool, ...], assumed: set[int]) -> None:
         def holds(clause: tuple[int, ...]) -> bool:

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import random
+import types
 
 import pytest
 
+import mrex.reconcile as reconcile_module
+from mrex import minsets
+from mrex.formula import CnfFormula
 from mrex.minsets import (
     Budget,
     McsResult,
@@ -15,7 +19,8 @@ from mrex.minsets import (
     extract_mcs,
     extract_mus,
 )
-from mrex.solver import SolverUsageError
+from mrex.reconcile import GENERAL, RESTRICTED, ReconcileProblem, ReconcileTimeout, reconcile
+from mrex.solver import SatSession, SolverUsageError
 
 from oracles import (
     random_unsat_soft,
@@ -130,3 +135,122 @@ def test_mcs_deterministic():
     a = extract_mcs(SoftSolver(BASE, hard, num_vars=5))
     b = extract_mcs(SoftSolver(BASE, hard, num_vars=5))
     assert a == b
+
+
+def _log_workspaces(monkeypatch) -> list[SoftSolver]:
+    """The workspace of every solve, in call order."""
+    log = []
+    real = SoftSolver.solve_ids
+
+    def solve_ids(ws, ids):
+        log.append(ws)
+        return real(ws, ids)
+
+    monkeypatch.setattr(SoftSolver, "solve_ids", solve_ids)
+    return log
+
+
+def test_mus_search_after_the_first_solve_runs_on_the_first_core(monkeypatch):
+    """Only the first solve sees every soft clause; the deletion pass runs
+    in one workspace of exactly the first core's clauses, same hard ones."""
+    monkeypatch.setattr(minsets, "check_minimality", False)  # audits solve in ws
+    log = _log_workspaces(monkeypatch)
+    rng = random.Random(13)
+    strict = 0
+    for _ in range(80):
+        n = rng.randint(3, 6)
+        soft, hard = random_unsat_soft(rng, n, rng.randint(n + 2, n + 5), rng.randint(0, 2))
+        if not tt_satisfiable(hard, n):
+            continue
+        probe = SoftSolver(soft, hard, num_vars=n)  # same history, same core
+        core = sorted(probe.core_ids(probe.solve_ids(range(len(soft)))))
+        if len(core) == len(soft):
+            continue
+        strict += 1
+        ws = SoftSolver(soft, hard, num_vars=n)
+        log.clear()
+        got = extract_mus(ws)
+        assert log[0] is ws
+        inner = set(map(id, log[1:]))
+        assert len(inner) == 1 and id(ws) not in inner
+        assert log[1].soft == [soft[i] for i in core]
+        assert log[1].hard == ws.hard and log[1].num_vars == n
+        assert got.ids in tt_all_muses(soft, hard, n)
+    assert strict >= 20
+
+
+# q=4 follows from the chain x1, x1->x2, x2->x3, x3->q; kb_h lacks x2->x3
+# and carries clauses over y1..y3 (5..7) that no core needs.
+_CHAIN = [(1,), (-1, 2), (-2, 3), (-3, 4)]
+_NOISE = [(5, 6), (-5, 7), (-6, 7), (1, 7), (2, -5)]
+_MUS_PROBLEM = (CnfFormula.from_clauses(_CHAIN + _NOISE),
+                CnfFormula.from_clauses([c for c in _CHAIN if c != (-2, 3)] + _NOISE),
+                CnfFormula.from_clauses([(4,)]))
+
+
+def _mus_workspaces(monkeypatch) -> list[SoftSolver]:
+    """Records the workspace that reconcile hands to extract_mus."""
+    outer = []
+    real = reconcile_module.extract_mus
+
+    def extract_mus_logged(ws):
+        outer.append(ws)
+        return real(ws)
+
+    monkeypatch.setattr(reconcile_module, "extract_mus", extract_mus_logged)
+    return outer
+
+
+def _count_solves(monkeypatch) -> list[int]:
+    count = [0]
+    real = SatSession.solve
+
+    def solve(session, assumptions=()):
+        count[0] += 1
+        return real(session, assumptions)
+
+    monkeypatch.setattr(SatSession, "solve", solve)
+    return count
+
+
+@pytest.mark.parametrize("mode", [GENERAL, RESTRICTED])
+def test_budget_counts_the_solves_of_both_mus_workspaces(monkeypatch, mode):
+    log = _log_workspaces(monkeypatch)
+    outer = _mus_workspaces(monkeypatch)
+    solves = _count_solves(monkeypatch)
+    expl = reconcile(ReconcileProblem(*_MUS_PROBLEM, mode=mode))
+    assert expl.update == ((-2, 3),)
+    assert set(expl.support) == set(_CHAIN)
+    (ws,) = outer
+    inner = [w for w in log if w is not ws and w.hard == ws.hard]
+    assert inner and all(w is inner[0] for w in inner)
+    assert len(inner[0]) == 3 < len(ws)
+    assert expl.oracle_calls == solves[0] == ws.budget.calls
+    assert inner[0].budget is ws.budget
+
+
+@pytest.mark.parametrize("mode", [GENERAL, RESTRICTED])
+def test_deadline_inside_the_core_workspace_times_out(monkeypatch, mode):
+    """The clock passes the deadline right after the core workspace's first
+    solve; its next solve raises, and the timeout counts every solve."""
+    offset = [0.0]
+    real_time = minsets.time
+    monkeypatch.setattr(minsets, "time", types.SimpleNamespace(
+        monotonic=lambda: real_time.monotonic() + offset[0]))
+    outer = _mus_workspaces(monkeypatch)
+    solves = _count_solves(monkeypatch)
+    inner_solves = [0]
+    real_solve_ids = SoftSolver.solve_ids
+
+    def solve_ids(ws, ids):
+        res = real_solve_ids(ws, ids)
+        if outer and ws is not outer[0] and ws.hard == outer[0].hard:
+            inner_solves[0] += 1
+            offset[0] = 1e6
+        return res
+
+    monkeypatch.setattr(SoftSolver, "solve_ids", solve_ids)
+    with pytest.raises(ReconcileTimeout) as exc:
+        reconcile(ReconcileProblem(*_MUS_PROBLEM, mode=mode), timeout=1000.0)
+    assert inner_solves[0] == 1
+    assert exc.value.oracle_calls == solves[0]
