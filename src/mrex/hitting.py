@@ -83,7 +83,6 @@ class HittingSetInstance:
         self.nodes = 0
         self._exact: dict[SetsKey, int] = {}
         self._lower: dict[SetsKey, int] = {}
-        self._bit_tuples: dict[int, tuple[int, ...]] = {}
 
     def add_set(self, elements: Iterable[int]) -> None:
         mask = 0
@@ -96,13 +95,6 @@ class HittingSetInstance:
         if not mask:
             raise ValueError("an empty set admits no hitting set")
         self.masks.append(mask)
-
-    def _members(self, mask: int) -> tuple[int, ...]:
-        """Bits of a mask, ascending; cached, since subproblems share sets."""
-        bits = self._bit_tuples.get(mask)
-        if bits is None:
-            bits = self._bit_tuples[mask] = tuple(_bits(mask))
-        return bits
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -170,9 +162,7 @@ def _packing_bound(sets: list[int]) -> int:
     return count
 
 
-def _undominated(
-    inst: HittingSetInstance, sets: list[int]
-) -> tuple[int, list[int]]:
+def _undominated(sets: list[int]) -> tuple[int, list[int]]:
     """Element domination to a fixed point; the optimum size is unchanged.
 
     An element is dominated when another live element lies in every set
@@ -188,7 +178,7 @@ def _undominated(
         union = reduce(or_, sets)
         meet = dict.fromkeys(_bits(union), -1)
         for m in sets:
-            for e in inst._members(m):
+            for e in _bits(m):
                 meet[e] &= m
         live = union
         for e, common in meet.items():
@@ -230,7 +220,7 @@ def _opt(
     lower = max(floor, inst._lower.get(key, 0))
     if lower > cap:
         return lower
-    forced, rest = _undominated(inst, sets)
+    forced, rest = _undominated(sets)
     k = forced.bit_count()
     if k > cap or not rest:
         value = k

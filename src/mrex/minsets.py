@@ -1,16 +1,16 @@
 """Minimal correction sets and minimal unsatisfiable subsets over soft/hard
 clause splits, and the search budget their oracle calls draw on.
 
-Soft clauses are addressed by their position in the given sequence; hard
-clauses always hold.  Extraction is deterministic: candidate clauses are
-visited in ascending position order.
+Both extractions run on a SatSession workspace: soft clauses are addressed
+by their position in ws.soft; hard clauses always hold.  Extraction is
+deterministic: candidate clauses are visited in ascending position order.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 from .formula import Clause
 from .solver import SatSession, SolveResult
@@ -57,66 +57,30 @@ class NotUnsatisfiableError(MinimalSetError):
 @dataclass(frozen=True)
 class McsResult:
     ids: frozenset[int]
-    kind: str = field(default="mcs", compare=False)
 
 
 @dataclass(frozen=True)
 class MusResult:
     ids: frozenset[int]
-    kind: str = field(default="mus", compare=False)
 
 
-class SoftSolver:
-    """Selector-guarded workspace over a fixed soft universe.
-
-    num_vars must cover every variable in soft and hard clauses, or the
-    session raises SolverUsageError; selectors are allocated above it.  One
-    workspace can serve many extractions, which is what keeps the main
-    reconciliation loop incremental.  With a budget, every solve first
-    polls its deadline and then counts against it.  The workspace keeps its
-    hard clauses and num_vars so that a narrower one can be opened beside it.
-    """
-
-    def __init__(
-        self, soft: Sequence[Clause], hard: Iterable[Clause] = (), *, num_vars: int,
-        budget: Budget | None = None,
-    ):
-        self.budget = budget
-        self.num_vars = num_vars
-        self.soft = [tuple(c) for c in soft]
-        self.hard = [tuple(c) for c in hard]
-        self.session = SatSession(num_vars)
-        for c in self.hard:
-            self.session.add_hard(c)
-        self.selectors = [self.session.add_soft(c) for c in self.soft]
-        self._positions = {s: i for i, s in enumerate(self.selectors)}
-
-    def __len__(self) -> int:
-        return len(self.soft)
-
-    def solve_ids(self, ids: Iterable[int]) -> SolveResult:
-        if self.budget is not None:
-            self.budget.check()
-            self.budget.calls += 1
-        return self.session.solve([self.selectors[i] for i in ids])
-
-    def core_ids(self, result: SolveResult) -> set[int]:
-        return {self._positions[x] for x in result.conflict_subset if x in self._positions}
-
-    def satisfied_ids(self, model: tuple[bool, ...], skip: set[int]) -> list[int]:
-        out = []
-        for i, clause in enumerate(self.soft):
-            if i in skip:
-                continue
-            for l in clause:
-                if model[l] if l > 0 else not model[-l]:
-                    out.append(i)
-                    break
-        return out
+def workspace(num_vars: int, hard: Iterable[Clause], soft: Iterable[Clause] = (), *,
+              budget: Budget | None = None) -> SatSession:
+    """A session over num_vars problem variables loaded with the hard
+    clauses, then the soft ones.  One workspace can serve many extractions,
+    which is what keeps the main reconciliation loop incremental.  Loading
+    stays out of SatSession.__init__, so a tracer that times construction
+    and every add_hard/add_soft call counts each clause load once."""
+    ws = SatSession(num_vars, budget=budget)
+    for c in hard:
+        ws.add_hard(c)
+    for c in soft:
+        ws.add_soft(c)
+    return ws
 
 
 def extract_mcs(
-    ws: SoftSolver,
+    ws: SatSession,
     seed: Iterable[int] = (),
     *,
     first_result: SolveResult | None = None,
@@ -149,7 +113,7 @@ def extract_mcs(
     return McsResult(mcs)
 
 
-def _audit_mcs(ws: SoftSolver, mcs: frozenset[int], seed: set[int]) -> None:
+def _audit_mcs(ws: SatSession, mcs: frozenset[int], seed: set[int]) -> None:
     assert not mcs & seed, "correction set overlaps the seed"
     complement = set(range(len(ws.soft))) - mcs
     assert ws.solve_ids(complement).satisfiable, "complement of MCS is not satisfiable"
@@ -159,7 +123,7 @@ def _audit_mcs(ws: SoftSolver, mcs: frozenset[int], seed: set[int]) -> None:
         )
 
 
-def extract_mus(ws: SoftSolver) -> MusResult:
+def extract_mus(ws: SatSession) -> MusResult:
     """One minimal unsatisfiable subset of the soft clauses (modulo hard).
 
     One solve over the whole workspace gives a first core; the rest of the
@@ -174,8 +138,7 @@ def extract_mus(ws: SoftSolver) -> MusResult:
     if res.satisfiable:
         raise NotUnsatisfiableError("hard and soft clauses are jointly satisfiable")
     core = sorted(ws.core_ids(res))
-    sub = SoftSolver([ws.soft[i] for i in core], ws.hard, num_vars=ws.num_vars,
-                     budget=ws.budget)
+    sub = workspace(ws.num_vars, ws.hard, [ws.soft[i] for i in core], budget=ws.budget)
     current = set(range(len(core)))
     for i in range(len(core)):
         if i not in current:
@@ -189,7 +152,7 @@ def extract_mus(ws: SoftSolver) -> MusResult:
     return MusResult(mus)
 
 
-def _audit_mus(ws: SoftSolver, mus: frozenset[int]) -> None:
+def _audit_mus(ws: SatSession, mus: frozenset[int]) -> None:
     assert not ws.solve_ids(mus).satisfiable, "MUS is not unsatisfiable"
     for i in sorted(mus):
         assert ws.solve_ids(mus - {i}).satisfiable, (

@@ -10,7 +10,9 @@ trims the kb_h-side contribution.
 
 In restricted mode (used by the planning frontend) the support may draw its
 kb_h-side clauses only from kb_a ∩ kb_h, so the whole support lies within
-kb_a.
+kb_a.  Kept kb_h ∪ update is then satisfiable with no further solve:
+consistency repair leaves kb_a ∪ kept kb_h satisfiable, and the update is a
+subset of kb_a.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 from .formula import Clause, CnfFormula, negate_query, intersect_kbs, normalize_clause
 from .hitting import HittingSetInstance, min_hitting_set
-from .minsets import Budget, SoftSolver, _OutOfTime, extract_mcs, extract_mus
+from .minsets import Budget, _OutOfTime, extract_mcs, extract_mus, workspace
 
 GENERAL = "general"
 RESTRICTED = "restricted"
@@ -69,7 +71,6 @@ class Explanation:
     mcs_count: int
     oracle_calls: int
     mode: str = GENERAL
-    restricted_consistency_ok: bool | None = None
 
     @property
     def iterations(self) -> int:
@@ -101,10 +102,10 @@ def _env_vars(*formulas: CnfFormula) -> int:
 def _check_premises(kb_a: CnfFormula, neg_clauses: Sequence[Clause], num_vars: int,
                     budget: Budget) -> None:
     """kb_a must be satisfiable and entail the query."""
-    ws = SoftSolver(neg_clauses, hard=kb_a.clauses, num_vars=num_vars, budget=budget)
+    ws = workspace(num_vars, kb_a.clauses, neg_clauses, budget=budget)
     if not ws.solve_ids(()).satisfiable:
         raise PremiseError("kb_a is unsatisfiable")
-    if ws.solve_ids(range(len(ws))).satisfiable:
+    if ws.solve_ids(range(len(ws.soft))).satisfiable:
         raise PremiseError("kb_a does not entail the query")
 
 
@@ -120,7 +121,7 @@ def preprocess_consistency(
     diff = [c for c in kb_h.clauses if c not in in_a]
     if not diff:
         return kb_h.clauses, ()
-    ws = SoftSolver(diff, hard=kb_a.clauses, num_vars=num_vars, budget=budget)
+    ws = workspace(num_vars, kb_a.clauses, diff, budget=budget)
     if ws.solve_ids(range(len(diff))).satisfiable:
         return kb_h.clauses, ()
     removed = {diff[i] for i in extract_mcs(ws).ids}
@@ -131,6 +132,11 @@ def preprocess_consistency(
 def reconcile(problem: ReconcileProblem, *, timeout: float | None = None) -> Explanation:
     """Smallest-update support reconciling problem.kb_h with problem.kb_a.
 
+    Premise check, consistency repair, then the hitting-set loop: take a
+    minimum hitting set of the MCSes found so far as the seed and stop at
+    the first seed whose candidate clauses, with the context, entail the
+    query; a MUS pass then adds the context clauses the seed needs.
+
     Raises PremiseError when kb_a is unsatisfiable or does not entail the
     query, and ReconcileTimeout once the deadline has passed: it is polled
     before every oracle call and at every hitting-set search node.  When
@@ -138,36 +144,16 @@ def reconcile(problem: ReconcileProblem, *, timeout: float | None = None) -> Exp
     """
     if problem.mode not in (GENERAL, RESTRICTED):
         raise ReconcileError(f"unknown mode {problem.mode!r}")
-    return _search(problem, timeout, trim=True)
-
-
-def smallest_support(kb: CnfFormula, query: CnfFormula, *,
-                     timeout: float | None = None) -> Explanation:
-    """Cardinality-minimal subset of kb entailing the query (single KB).
-
-    The reconcile loop with an empty kb_h: the whole kb is the candidate
-    set, and the first seed that closes the entailment gap is itself the
-    support.
-    """
-    return _search(ReconcileProblem(kb, CnfFormula.from_clauses(()), query),
-                   timeout, trim=False)
-
-
-def _search(problem: ReconcileProblem, timeout: float | None, *,
-            trim: bool) -> Explanation:
-    """Premise check, consistency repair, then the hitting-set loop: take a
-    minimum hitting set of the MCSes found so far as the seed and stop at
-    the first seed whose candidate clauses, with the context, entail the
-    query.  With trim, a MUS pass adds the context clauses the seed needs."""
     budget = Budget(timeout)
     kb_a, kb_h, query = problem.kb_a, problem.kb_h, problem.query
     env = _env_vars(kb_a, kb_h, query)
     neg = negate_query(query, env + 1)
+    neg_clauses = list(neg.clauses)
     total_vars = env + len(neg.aux_vars)
 
     instance = HittingSetInstance()
     try:
-        _check_premises(kb_a, neg.clauses, total_vars, budget)
+        _check_premises(kb_a, neg_clauses, total_vars, budget)
 
         hard_ids, soft_ids = intersect_kbs(kb_a, kb_h)
         shared = [kb_a.clauses[i] for i in sorted(hard_ids)]
@@ -176,8 +162,7 @@ def _search(problem: ReconcileProblem, timeout: float | None, *,
         kept_h, removed = preprocess_consistency(kb_a, kb_h, env, budget)
 
         context = shared if problem.mode == RESTRICTED else list(kept_h)
-        ws = SoftSolver(candidates, hard=context + list(neg.clauses),
-                        num_vars=total_vars, budget=budget)
+        ws = workspace(total_vars, context + neg_clauses, candidates, budget=budget)
         while True:
             seed = min_hitting_set(instance, cancel=budget.check)
             res = ws.solve_ids(seed)
@@ -186,22 +171,11 @@ def _search(problem: ReconcileProblem, timeout: float | None, *,
             mcs = extract_mcs(ws, seed=seed, first_result=res)
             instance.add_set(mcs.ids)
         epsilon = [candidates[i] for i in sorted(seed)]
-        if trim:
-            mus_ws = SoftSolver(context, hard=epsilon + list(neg.clauses),
-                                num_vars=total_vars, budget=budget)
-            mus = extract_mus(mus_ws)
-            support = tuple(sorted(set(epsilon) | {context[i] for i in mus.ids}))
-            # The context lies inside kb_h and the candidates outside it.
-            update = tuple(sorted(epsilon))
-        else:
-            support, update = tuple(sorted(epsilon)), ()
-        consistency_ok = None
-        if problem.mode == RESTRICTED:
-            # Preprocessing removes only kb_h-only clauses, so the shared
-            # context survives it and support \ kept_h is the update.
-            check = SoftSolver((), hard=[*kept_h, *update], num_vars=total_vars,
-                               budget=budget)
-            consistency_ok = check.solve_ids(()).satisfiable
+        mus = extract_mus(workspace(total_vars, epsilon + neg_clauses, context,
+                                    budget=budget))
+        support = tuple(sorted(set(epsilon) | {context[i] for i in mus.ids}))
+        # The context lies inside kb_h and the candidates outside it.
+        update = tuple(sorted(epsilon))
     except _OutOfTime:
         raise ReconcileTimeout(
             f"reconciliation exceeded {timeout} seconds",
@@ -216,8 +190,19 @@ def _search(problem: ReconcileProblem, timeout: float | None, *,
         mcs_count=len(instance),
         oracle_calls=budget.calls,
         mode=problem.mode,
-        restricted_consistency_ok=consistency_ok,
     )
+
+
+def smallest_support(kb: CnfFormula, query: CnfFormula, *,
+                     timeout: float | None = None) -> Explanation:
+    """Cardinality-minimal subset of kb entailing the query (single KB).
+
+    reconcile with an empty kb_h: the whole kb is the candidate set, the
+    first seed that closes the entailment gap is the support, and the update
+    equals it.
+    """
+    return reconcile(ReconcileProblem(kb, CnfFormula.from_clauses(()), query),
+                     timeout=timeout)
 
 
 def verify_explanation(
@@ -242,8 +227,8 @@ def verify_explanation(
     total = env + len(neg.aux_vars)
     failures: list[str] = []
 
-    ws = SoftSolver(neg.clauses, hard=kb_h_clauses + support, num_vars=total)
-    entailed = not ws.solve_ids(range(len(ws))).satisfiable
+    ws = workspace(total, kb_h_clauses + support, neg.clauses)
+    entailed = not ws.solve_ids(range(len(ws.soft))).satisfiable
     if not entailed:
         failures.append("support with kb_h does not entail the query")
     consistent = ws.solve_ids(()).satisfiable
@@ -251,7 +236,7 @@ def verify_explanation(
         failures.append("support conflicts with kb_h")
 
     minimal = True
-    probe = SoftSolver(list(support), hard=list(neg.clauses), num_vars=total)
+    probe = workspace(total, neg.clauses, support)
     for i in range(len(support)):
         rest = set(range(len(support))) - {i}
         if not probe.solve_ids(rest).satisfiable:
@@ -287,10 +272,6 @@ def serialize_explanation(expl: Explanation,
         mcs_count=expl.mcs_count,
         oracle_calls=expl.oracle_calls,
     ))
-    if expl.restricted_consistency_ok is not None:
-        lines.append(format_record(
-            "assumption", restricted_consistency_ok=expl.restricted_consistency_ok
-        ))
     if verification is not None:
         lines.append(verification.record())
     return "\n".join(lines) + "\n"

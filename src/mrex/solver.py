@@ -1,12 +1,14 @@
 """Incremental CDCL SAT sessions with assumption-based solving.
 
-A session owns a growing set of hard clauses plus soft clauses guarded by
-selector variables, so callers can switch clause subsets on and off between
-solves without rebuilding.  Its problem variables are fixed at construction
-(1..num_vars); selectors are allocated above them, and a clause naming a
-larger variable is a usage error, so it can never alias a selector.
-Solving is deterministic: identical session histories produce identical
-answers, models, and conflict subsets.
+A session owns a growing list of hard clauses plus a list of soft clauses
+guarded by selector variables, so callers can switch clause subsets on and
+off between solves without rebuilding (MiniSat's assumption interface).  Its
+problem variables are fixed at construction (1..num_vars); soft clause i is
+guarded by selector num_vars + 1 + i, and a clause naming a variable above
+num_vars is a usage error, so it can never alias a selector.  Callers
+address soft clauses by position: solve_ids, core_ids and satisfied_ids
+translate to and from selectors.  Solving is deterministic: identical
+session histories produce identical answers, models, and conflict subsets.
 
 Each decision branches on the unassigned variable of largest VSIDS activity,
 the smallest variable among ties.  The variable order is one list of all
@@ -21,7 +23,10 @@ follow the Luby sequence in units of 256 conflicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:
+    from .minsets import Budget
 
 # When True every SAT answer is audited clause-by-clause against the
 # registered hard clauses and the assumed soft clauses (test builds).
@@ -68,9 +73,13 @@ def _luby(i: int) -> int:
 
 
 class SatSession:
-    """One incremental solver instance; operations own their sessions."""
+    """One incremental solver instance; operations own their sessions.
 
-    def __init__(self, num_vars: int):
+    With a budget, every solve_ids first polls its deadline and then counts
+    against it.  The session starts empty: add_hard and add_soft load it.
+    """
+
+    def __init__(self, num_vars: int, budget: Budget | None = None):
         # Per-variable arrays, entry 0 unused; _assign holds +1 true, -1
         # false, 0 unassigned.
         self._nvars = num_vars
@@ -94,11 +103,12 @@ class SatSession:
         self._qhead = 0
         self._var_inc = 1.0
         self._ok = True
-        self._hard_audit: list[tuple[int, ...]] = []
-        self._soft_audit: dict[int, tuple[int, ...]] = {}
+        self.num_vars = num_vars
+        self.budget = budget
+        self.hard: list[tuple[int, ...]] = []
+        self.soft: list[tuple[int, ...]] = []
         self.conflicts = 0
         self.decisions = 0
-        self._problem_vars = num_vars
 
     def _new_var(self) -> int:
         self._nvars += 1
@@ -116,7 +126,7 @@ class SatSession:
     def add_hard(self, clause: Iterable[int]) -> None:
         lits = tuple(clause)
         self._check_clause(lits)
-        self._hard_audit.append(lits)
+        self.hard.append(lits)
         self._add_clause(list(lits))
 
     def add_soft(self, clause: Iterable[int]) -> int:
@@ -125,18 +135,43 @@ class SatSession:
         lits = tuple(clause)
         self._check_clause(lits)
         s = self._new_var()
-        self._soft_audit[s] = lits
+        self.soft.append(lits)
         self._add_clause([-s, *lits])
         return s
+
+    def solve_ids(self, ids: Iterable[int]) -> SolveResult:
+        """Solve with the soft clauses at these positions switched on."""
+        if self.budget is not None:
+            self.budget.check()
+            self.budget.calls += 1
+        base = self.num_vars + 1
+        return self.solve([base + i for i in ids])
+
+    def core_ids(self, result: SolveResult) -> set[int]:
+        """Positions of the soft clauses in an UNSAT answer's conflict subset."""
+        base = self.num_vars + 1
+        return {x - base for x in result.conflict_subset if x >= base}
+
+    def satisfied_ids(self, model: tuple[bool, ...], skip: set[int]) -> list[int]:
+        """Positions outside skip whose soft clause the model satisfies."""
+        out = []
+        for i, clause in enumerate(self.soft):
+            if i in skip:
+                continue
+            for l in clause:
+                if model[l] if l > 0 else not model[-l]:
+                    out.append(i)
+                    break
+        return out
 
     def _check_clause(self, lits: tuple[int, ...]) -> None:
         seen = set()
         for l in lits:
             if not isinstance(l, int) or l == 0:
                 raise SolverUsageError(f"bad literal {l!r}")
-            if abs(l) > self._problem_vars:
+            if abs(l) > self.num_vars:
                 raise SolverUsageError(
-                    f"literal {l} is beyond the session's {self._problem_vars} variables")
+                    f"literal {l} is beyond the session's {self.num_vars} variables")
             if -l in seen:
                 raise SolverUsageError(f"tautological clause {lits}")
             if l in seen:
@@ -456,10 +491,10 @@ class SatSession:
         def holds(clause: tuple[int, ...]) -> bool:
             return any(model[l] if l > 0 else not model[-l] for l in clause)
 
-        for clause in self._hard_audit:
+        for clause in self.hard:
             if not holds(clause):
                 raise AssertionError(f"model violates hard clause {clause}")
-        for s, clause in self._soft_audit.items():
+        for s, clause in enumerate(self.soft, self.num_vars + 1):
             if s in assumed and not holds(clause):
                 raise AssertionError(f"model violates assumed soft clause {clause}")
         for a in assumed:

@@ -134,7 +134,7 @@ def brute_force_min_update(problem, *, max_candidates: int = 14):
     sessions; neither path shares state with reconcile's search.
     """
     from mrex.formula import intersect_kbs, negate_query
-    from mrex.minsets import Budget, SoftSolver
+    from mrex.minsets import Budget, workspace
     from mrex.reconcile import (
         RESTRICTED,
         PremiseError,
@@ -169,8 +169,7 @@ def brute_force_min_update(problem, *, max_candidates: int = 14):
 
     else:
         neg = negate_query(query, env + 1)
-        ws = SoftSolver(candidates, hard=context + list(neg.clauses),
-                        num_vars=env + len(neg.aux_vars))
+        ws = workspace(env + len(neg.aux_vars), context + list(neg.clauses), candidates)
 
         def entails(subset: tuple[int, ...]) -> bool:
             return not ws.solve_ids(subset).satisfiable

@@ -224,7 +224,7 @@ class TestAcceptance:
             for _ in range(60):
                 n = rng.randint(3, 6)
                 soft, hard = random_unsat_soft(rng, n, rng.randint(3, 10))
-                mus = minsets.extract_mus(minsets.SoftSolver(soft, hard, num_vars=n))
+                mus = minsets.extract_mus(minsets.workspace(n, hard, soft))
                 picked = [soft[i] for i in sorted(mus.ids)]
                 if tt_satisfiable(picked + hard, n):
                     failures += 1
@@ -232,7 +232,7 @@ class TestAcceptance:
                     reduced = picked[:drop] + picked[drop + 1:]
                     if not tt_satisfiable(reduced + hard, n):
                         failures += 1
-                mcs = minsets.extract_mcs(minsets.SoftSolver(soft, hard, num_vars=n))
+                mcs = minsets.extract_mcs(minsets.workspace(n, hard, soft))
                 kept = [soft[i] for i in range(len(soft)) if i not in mcs.ids]
                 if not tt_satisfiable(kept + hard, n):
                     failures += 1

@@ -182,7 +182,7 @@ def test_domination_deletes_a_member_of_the_lex_smallest_optimum():
     # reduction deletes 1 and 2 and forces 5 and 6, which fixes the size,
     # while the answer is still the lexicographically smallest optimum
     inst = hitting_instance([{1, 5}, {2, 6}])
-    forced, rest = _undominated(inst, inst.masks)
+    forced, rest = _undominated(inst.masks)
     assert rest == [] and mask_ids(inst, forced) == {5, 6}
     assert min_hitting_set(inst, cancel=no_cancel) == {1, 2}
     assert min_hitting_set(inst, cancel=no_cancel) == _lex_smallest_minimum(instance_sets(inst))
@@ -194,7 +194,7 @@ def test_forced_elements_count_when_the_rest_splits():
     inst = hitting_instance(
         [{1, 2}, {2, 3}, {1, 3}, {4, 5}, {5, 6}, {4, 6}, {1, 4, 9}, {9, 10}]
     )
-    forced, rest = _undominated(inst, inst.masks)
+    forced, rest = _undominated(inst.masks)
     assert mask_ids(inst, forced) == {9} and len(rest) == 6
     got = min_hitting_set(inst, cancel=no_cancel)
     assert len(got) == brute_min_hitting_set_size(instance_sets(inst)) == 5
@@ -229,7 +229,7 @@ def test_domination_against_brute_force_on_nested_columns():
             family = instance_sets(inst)
             assert len(got) == brute_min_hitting_set_size(family)
             assert got == _lex_smallest_minimum(family), family
-        fired += _undominated(inst, inst.masks) != (0, inst.masks)
+        fired += _undominated(inst.masks) != (0, inst.masks)
     assert fired > 100
 
 

@@ -10,14 +10,12 @@ from mrex import minsets
 from mrex.formula import CnfFormula
 from mrex.minsets import (
     Budget,
-    McsResult,
-    MusResult,
     NothingToCorrectError,
     NotUnsatisfiableError,
     SeedInconsistentError,
-    SoftSolver,
     extract_mcs,
     extract_mus,
+    workspace,
 )
 from mrex.reconcile import GENERAL, RESTRICTED, ReconcileProblem, ReconcileTimeout, reconcile
 from mrex.solver import SatSession, SolverUsageError
@@ -37,43 +35,43 @@ def test_clause_cannot_alias_a_selector():
     """Clause 0's selector is variable 4, so a soft (4,) over num_vars=3
     would silently name it; the session rejects the clause instead."""
     with pytest.raises(SolverUsageError, match="beyond"):
-        SoftSolver([(1,), (4,)], hard=[(-1,)], num_vars=3)
-    assert SoftSolver([(1,), (4,)], hard=[(-1,)], num_vars=4).solve_ids([1]).satisfiable
+        workspace(3, [(-1,)], [(1,), (4,)])
+    assert workspace(4, [(-1,)], [(1,), (4,)]).solve_ids([1]).satisfiable
 
 
 def test_mcs_of_worked_base_with_negated_goal():
     hard = [(-3,), (5,), (-1,)]
-    res = extract_mcs(SoftSolver(BASE, hard, num_vars=5))
+    res = extract_mcs(workspace(5, hard, BASE))
     assert res.ids in {frozenset({0}), frozenset({1, 3}), frozenset({1, 4})}
 
 
 def test_mcs_respects_seed():
     hard = [(-3,), (5,), (-1,)]
-    res = extract_mcs(SoftSolver(BASE, hard, num_vars=5), seed={1})
+    res = extract_mcs(workspace(5, hard, BASE), seed={1})
     assert res.ids == {0}
 
 
 def test_mcs_seed_conflict_detected():
     # seed {(-3,)} against hard (3) is already unsatisfiable
     with pytest.raises(SeedInconsistentError):
-        extract_mcs(SoftSolver([(-3,), (1,)], [(3,)], num_vars=3), seed={0})
+        extract_mcs(workspace(3, [(3,)], [(-3,), (1,)]), seed={0})
 
 
 def test_mcs_nothing_to_correct():
     with pytest.raises(NothingToCorrectError):
-        extract_mcs(SoftSolver([(1,), (2,)], [(3,)], num_vars=3))
+        extract_mcs(workspace(3, [(3,)], [(1,), (2,)]))
 
 
 def test_mus_of_worked_support_clauses():
     soft = [(-3,), (5,), (1, 2), (-2, 3)]
     hard = [(-1,)]
-    res = extract_mus(SoftSolver(soft, hard, num_vars=5))
+    res = extract_mus(workspace(5, hard, soft))
     assert res.ids == {0, 2, 3}
 
 
 def test_mus_requires_unsat():
     with pytest.raises(NotUnsatisfiableError):
-        extract_mus(SoftSolver([(1,), (2,)], [], num_vars=2))
+        extract_mus(workspace(2, [], [(1,), (2,)]))
 
 
 def test_enumerate_worked_base_mcses():
@@ -98,7 +96,7 @@ def test_extracted_mcs_is_among_enumerated_random():
         if not tt_satisfiable(hard, n):
             continue
         all_mcs = tt_all_mcses(soft, hard, n)
-        got = extract_mcs(SoftSolver(soft, hard, num_vars=n))
+        got = extract_mcs(workspace(n, hard, soft))
         assert got.ids in all_mcs
 
 
@@ -110,14 +108,14 @@ def test_extracted_mus_is_among_enumerated_random():
         if not tt_satisfiable(hard, n):
             continue
         all_mus = tt_all_muses(soft, hard, n)
-        got = extract_mus(SoftSolver(soft, hard, num_vars=n))
+        got = extract_mus(workspace(n, hard, soft))
         assert got.ids in all_mus
 
 
 def test_shared_workspace_reuse():
     hard = [(-3,), (5,), (-1,)]
     budget = Budget(None)
-    ws = SoftSolver(BASE, hard, num_vars=5, budget=budget)
+    ws = workspace(5, hard, BASE, budget=budget)
     first = extract_mcs(ws)
     second = extract_mcs(ws, seed={1})
     assert first.ids in {frozenset({0}), frozenset({1, 3}), frozenset({1, 4})}
@@ -125,28 +123,23 @@ def test_shared_workspace_reuse():
     assert budget.calls > 0
 
 
-def test_result_kinds():
-    assert McsResult(frozenset()).kind == "mcs"
-    assert MusResult(frozenset()).kind == "mus"
-
-
 def test_mcs_deterministic():
     hard = [(-3,), (5,), (-1,)]
-    a = extract_mcs(SoftSolver(BASE, hard, num_vars=5))
-    b = extract_mcs(SoftSolver(BASE, hard, num_vars=5))
+    a = extract_mcs(workspace(5, hard, BASE))
+    b = extract_mcs(workspace(5, hard, BASE))
     assert a == b
 
 
-def _log_workspaces(monkeypatch) -> list[SoftSolver]:
+def _log_workspaces(monkeypatch) -> list[SatSession]:
     """The workspace of every solve, in call order."""
     log = []
-    real = SoftSolver.solve_ids
+    real = SatSession.solve_ids
 
     def solve_ids(ws, ids):
         log.append(ws)
         return real(ws, ids)
 
-    monkeypatch.setattr(SoftSolver, "solve_ids", solve_ids)
+    monkeypatch.setattr(SatSession, "solve_ids", solve_ids)
     return log
 
 
@@ -162,12 +155,12 @@ def test_mus_search_after_the_first_solve_runs_on_the_first_core(monkeypatch):
         soft, hard = random_unsat_soft(rng, n, rng.randint(n + 2, n + 5), rng.randint(0, 2))
         if not tt_satisfiable(hard, n):
             continue
-        probe = SoftSolver(soft, hard, num_vars=n)  # same history, same core
+        probe = workspace(n, hard, soft)  # same history, same core
         core = sorted(probe.core_ids(probe.solve_ids(range(len(soft)))))
         if len(core) == len(soft):
             continue
         strict += 1
-        ws = SoftSolver(soft, hard, num_vars=n)
+        ws = workspace(n, hard, soft)
         log.clear()
         got = extract_mus(ws)
         assert log[0] is ws
@@ -188,7 +181,7 @@ _MUS_PROBLEM = (CnfFormula.from_clauses(_CHAIN + _NOISE),
                 CnfFormula.from_clauses([(4,)]))
 
 
-def _mus_workspaces(monkeypatch) -> list[SoftSolver]:
+def _mus_workspaces(monkeypatch) -> list[SatSession]:
     """Records the workspace that reconcile hands to extract_mus."""
     outer = []
     real = reconcile_module.extract_mus
@@ -224,7 +217,7 @@ def test_budget_counts_the_solves_of_both_mus_workspaces(monkeypatch, mode):
     (ws,) = outer
     inner = [w for w in log if w is not ws and w.hard == ws.hard]
     assert inner and all(w is inner[0] for w in inner)
-    assert len(inner[0]) == 3 < len(ws)
+    assert len(inner[0].soft) == 3 < len(ws.soft)
     assert expl.oracle_calls == solves[0] == ws.budget.calls
     assert inner[0].budget is ws.budget
 
@@ -240,7 +233,7 @@ def test_deadline_inside_the_core_workspace_times_out(monkeypatch, mode):
     outer = _mus_workspaces(monkeypatch)
     solves = _count_solves(monkeypatch)
     inner_solves = [0]
-    real_solve_ids = SoftSolver.solve_ids
+    real_solve_ids = SatSession.solve_ids
 
     def solve_ids(ws, ids):
         res = real_solve_ids(ws, ids)
@@ -249,7 +242,7 @@ def test_deadline_inside_the_core_workspace_times_out(monkeypatch, mode):
             offset[0] = 1e6
         return res
 
-    monkeypatch.setattr(SoftSolver, "solve_ids", solve_ids)
+    monkeypatch.setattr(SatSession, "solve_ids", solve_ids)
     with pytest.raises(ReconcileTimeout) as exc:
         reconcile(ReconcileProblem(*_MUS_PROBLEM, mode=mode), timeout=1000.0)
     assert inner_solves[0] == 1

@@ -66,11 +66,6 @@ class TestWorkedExample:
         expl = reconcile(ReconcileProblem(KB_A, KB_H, QUERY_A, mode=RESTRICTED))
         assert set(expl.support) == {(1, 2), (-2, 3), (-3,)}
         assert set(expl.update) == {(1, 2), (-2, 3)}
-        assert expl.restricted_consistency_ok is True
-
-    def test_general_mode_leaves_consistency_flag_unset(self):
-        expl = reconcile(ReconcileProblem(KB_A, KB_H, QUERY_A))
-        assert expl.restricted_consistency_ok is None
 
     def test_verifies(self):
         expl = reconcile(ReconcileProblem(KB_A, KB_H, QUERY_A))
@@ -81,7 +76,7 @@ class TestWorkedExample:
     def test_smallest_support_size_three(self):
         expl = smallest_support(KB_A, QUERY_A)
         assert set(expl.support) == {(1, 2), (-2, 3), (-3,)}
-        assert expl.update == ()
+        assert expl.update == expl.support
 
 
 def test_reconcile_submodule_is_not_shadowed():
@@ -231,7 +226,6 @@ class TestModeSeparation:
         )
         assert set(expl.support) == {(1, 2), (-2, 3), (-3,)}
         assert set(expl.support) <= self.KB_A2.clause_set()
-        assert expl.restricted_consistency_ok is True
 
     def test_brute_force_agrees_per_mode(self):
         for mode, expected in ((GENERAL, 1), (RESTRICTED, 3)):
@@ -294,8 +288,25 @@ class TestRandomAgreement:
             size, _ = brute_force_min_update(problem)
             assert len(expl.update) == size
             assert set(expl.support) <= kb_a.clause_set()
-            assert expl.restricted_consistency_ok is True
             done += 1
+
+    @pytest.mark.parametrize("mode", [GENERAL, RESTRICTED])
+    def test_kept_kb_h_with_update_is_satisfiable(self, mode):
+        """Consistency repair leaves kb_a ∪ kept kb_h satisfiable and the
+        update lies in kb_a, so kept kb_h ∪ update is satisfiable in both
+        modes without a solve to confirm it."""
+        rng = random.Random(20260814)
+        repaired = 0
+        for trial in range(100):
+            kb_a_l, kb_h_l, query_l = random_reconcile_instance(rng)
+            problem = ReconcileProblem(_formula(kb_a_l, 8), _formula(kb_h_l, 8),
+                                       _formula(query_l, 8), mode=mode)
+            expl = reconcile(problem, timeout=60)
+            removed = set(expl.removed_from_kb_h)
+            kept = [c for c in problem.kb_h.clauses if c not in removed]
+            assert tt_satisfiable(kept + list(expl.update), 8), (trial, kb_a_l, kb_h_l)
+            repaired += bool(removed)
+        assert repaired >= 10
 
     def test_smallest_support_matches_truth_table(self):
         rng = random.Random(7)
@@ -332,12 +343,10 @@ class TestDeterminismAndSerialization:
 
     def test_record_bytes(self):
         """The record format itself, from hand-built inputs: clause names,
-        the empty clause as `-`, the restricted-mode assumption and a
-        failing verification."""
+        the empty clause as `-` and a failing verification."""
         expl = Explanation(
             support=((-3,), (1, 2)), update=((1, 2),), removed_from_kb_h=((),),
             mcs_count=2, oracle_calls=11, mode=RESTRICTED,
-            restricted_consistency_ok=False,
         )
         verification = VerificationReport(
             entailed=True, minimal=False, consistent=True,
@@ -355,7 +364,6 @@ class TestDeterminismAndSerialization:
             "clause role=removed lits=- names=\n"
             "stat support_size=2 update_size=1 removed_size=1 iterations=3"
             " mcs_count=2 oracle_calls=11\n"
-            "assumption restricted_consistency_ok=false\n"
             "verify entailed=true minimal=false consistent=true ok=false\n"
         )
         assert parse_explanation_records(text) == {
