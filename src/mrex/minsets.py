@@ -1,5 +1,6 @@
 """Minimal correction sets and minimal unsatisfiable subsets over soft/hard
-clause splits, and the search budget their oracle calls draw on.
+clause splits, the model rotation that proves soft clauses necessary without
+an oracle call, and the search budget the oracle calls draw on.
 
 Both extractions run on a SatSession workspace: soft clauses are addressed
 by their position in ws.soft; hard clauses always hold.  Extraction is
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Container, Iterable
 
 from .formula import Clause
 from .solver import SatSession, SolveResult
@@ -123,6 +124,82 @@ def _audit_mcs(ws: SatSession, mcs: frozenset[int], seed: set[int]) -> None:
         )
 
 
+class Rotation:
+    """Recursive model rotation over one workspace's clauses (Belov &
+    Marques-Silva, "Accelerating MUS Extraction with Recursive Model
+    Rotation", FMCAD 2011).
+
+    A live soft clause is necessary when the hard clauses and the other live
+    clauses are satisfiable.  A model of those is a witness for it; flipping
+    one variable of the witnessed clause often gives a witness for another
+    live clause, with no oracle call.  A flip can only falsify the clauses
+    that hold the literal it makes false, so the occurrence lists by literal
+    are built once per workspace, here.
+    """
+
+    def __init__(self, ws: SatSession):
+        self._soft = ws.soft
+        self._hard_occ: dict[int, list[Clause]] = {}
+        self._soft_occ: dict[int, list[int]] = {}
+        for c in ws.hard:
+            for l in c:
+                self._hard_occ.setdefault(l, []).append(c)
+        for j, c in enumerate(ws.soft):
+            for l in c:
+                self._soft_occ.setdefault(l, []).append(j)
+
+    def mark(self, model: tuple[bool, ...], i: int, live: Container[int],
+             necessary: set[int]) -> None:
+        """Add i, and every live clause that rotating the model proves
+        necessary, to `necessary`.
+
+        The model satisfies the hard clauses and every live clause except
+        possibly clause i.  For each literal of the witnessed clause, in
+        clause order, flip its variable; when the flipped assignment still
+        satisfies every hard clause and falsifies exactly one live clause j,
+        it witnesses j.  An unmarked j is marked and rotated from the
+        flipped assignment, depth first; a marked one ends the branch.
+        """
+        necessary.add(i)
+        m = list(model)
+        soft = self._soft
+        # (literals of the witnessed clause left to flip, variable flipped
+        # to reach it; 0 for clause i)
+        stack = [(iter(soft[i]), 0)]
+        while stack:
+            lits, entered = stack[-1]
+            for l in lits:
+                v = l if l > 0 else -l
+                made_false = v if m[v] else -v
+                m[v] = not m[v]
+                j = self._sole_falsified(m, made_false, live)
+                if j is not None and j not in necessary:
+                    necessary.add(j)
+                    stack.append((iter(soft[j]), v))
+                    break
+                m[v] = not m[v]
+            else:
+                stack.pop()
+                if entered:
+                    m[entered] = not m[entered]
+
+    def _sole_falsified(self, m: list[bool], made_false: int,
+                        live: Container[int]) -> int | None:
+        """The one live clause that m falsifies, when m satisfies every hard
+        clause and falsifies exactly one live clause; only the clauses
+        holding made_false can have changed."""
+        for c in self._hard_occ.get(made_false, ()):
+            if not any(m[l] if l > 0 else not m[-l] for l in c):
+                return None
+        found = None
+        for j in self._soft_occ.get(made_false, ()):
+            if j in live and not any(m[l] if l > 0 else not m[-l] for l in self._soft[j]):
+                if found is not None:
+                    return None
+                found = j
+        return found
+
+
 def extract_mus(ws: SatSession) -> MusResult:
     """One minimal unsatisfiable subset of the soft clauses (modulo hard).
 
@@ -132,19 +209,26 @@ def extract_mus(ws: SatSession) -> MusResult:
     Belov & Marques-Silva, "MUSer2", JSAT 2012).  There the pass is
     deletion-based: drop candidates in ascending position order, keeping
     those whose removal restores satisfiability, and shrink to the conflict
-    subset of every UNSAT answer.  Positions map back to ws.
+    subset of every UNSAT answer.  Every SAT answer proves its candidate
+    necessary, and model rotation proves more from the same model; the pass
+    skips every candidate already proven necessary, which a solve would only
+    have confirmed.  Positions map back to ws.
     """
     res = ws.solve_ids(range(len(ws.soft)))
     if res.satisfiable:
         raise NotUnsatisfiableError("hard and soft clauses are jointly satisfiable")
     core = sorted(ws.core_ids(res))
     sub = workspace(ws.num_vars, ws.hard, [ws.soft[i] for i in core], budget=ws.budget)
+    rotation = Rotation(sub)
     current = set(range(len(core)))
+    necessary: set[int] = set()
     for i in range(len(core)):
-        if i not in current:
+        if i not in current or i in necessary:
             continue
         r = sub.solve_ids(current - {i})
-        if not r.satisfiable:
+        if r.satisfiable:
+            rotation.mark(r.model, i, current, necessary)
+        else:
             current = sub.core_ids(r)
     mus = frozenset(core[i] for i in current)
     if check_minimality:

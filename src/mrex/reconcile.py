@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 from .formula import Clause, CnfFormula, negate_query, intersect_kbs, normalize_clause
 from .hitting import HittingSetInstance, min_hitting_set
-from .minsets import Budget, _OutOfTime, extract_mcs, extract_mus, workspace
+from .minsets import Budget, Rotation, _OutOfTime, extract_mcs, extract_mus, workspace
 
 GENERAL = "general"
 RESTRICTED = "restricted"
@@ -139,8 +139,9 @@ def reconcile(problem: ReconcileProblem, *, timeout: float | None = None) -> Exp
 
     Raises PremiseError when kb_a is unsatisfiable or does not entail the
     query, and ReconcileTimeout once the deadline has passed: it is polled
-    before every oracle call and at every hitting-set search node.  When
-    kb_h already entails the query the update comes out empty.
+    before every oracle call, every 256 conflicts inside one, and at every
+    hitting-set search node.  When kb_h already entails the query the
+    update comes out empty.
     """
     if problem.mode not in (GENERAL, RESTRICTED):
         raise ReconcileError(f"unknown mode {problem.mode!r}")
@@ -215,6 +216,12 @@ def verify_explanation(
     entailed: kb_h ∪ support ∪ ¬query unsatisfiable;
     minimal: every proper subset of the support fails to entail the query on
     its own; consistent: kb_h ∪ support satisfiable.
+
+    The minimality probe visits the support clauses in order.  A clause is
+    necessary when ¬query and the other support clauses are satisfiable;
+    each SAT answer proves that, and model rotation proves it for more
+    clauses from the same model, which the probe then skips.  Each UNSAT
+    answer names a redundant clause.
     """
     kb_h_clauses = tuple(kb_h)
     support = tuple(sorted(set(tuple(c) for c in support)))
@@ -237,9 +244,16 @@ def verify_explanation(
 
     minimal = True
     probe = workspace(total, neg.clauses, support)
-    for i in range(len(support)):
-        rest = set(range(len(support))) - {i}
-        if not probe.solve_ids(rest).satisfiable:
+    rotation = Rotation(probe)
+    everything = range(len(support))
+    necessary: set[int] = set()
+    for i in everything:
+        if i in necessary:
+            continue
+        r = probe.solve_ids(j for j in everything if j != i)
+        if r.satisfiable:
+            rotation.mark(r.model, i, everything, necessary)
+        else:
             minimal = False
             failures.append(f"support clause {support[i]} is redundant")
     return VerificationReport(entailed, minimal, consistent, tuple(failures))

@@ -33,6 +33,7 @@ if TYPE_CHECKING:
 check_models = False
 
 _RESTART_BASE = 256
+_POLL_CONFLICTS = 256  # a budgeted solve polls its deadline this often
 _MIN_LEARNTS = 5000  # reduce past max(this, 2 * problem clauses) learnts
 
 
@@ -76,7 +77,10 @@ class SatSession:
     """One incremental solver instance; operations own their sessions.
 
     With a budget, every solve_ids first polls its deadline and then counts
-    against it.  The session starts empty: add_hard and add_soft load it.
+    against it, and every solve polls the deadline again each
+    _POLL_CONFLICTS conflicts, so one hard solve stops soon after the
+    deadline instead of running to its answer.  The session starts empty:
+    add_hard and add_soft load it.
     """
 
     def __init__(self, num_vars: int, budget: Budget | None = None):
@@ -456,6 +460,8 @@ class SatSession:
                     self._backtrack(0)
                     if len(self._learnts) > max_learnts:
                         self._reduce_db()
+                if self.budget is not None and self.conflicts % _POLL_CONFLICTS == 0:
+                    self.budget.check()
                 continue
             level = len(self._trail_lim)
             if level < len(assumps):

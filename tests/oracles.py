@@ -6,10 +6,11 @@ independent of the package's CDCL search, linear MCS scans, and deletion MUS
 loops.  Practical only for small variable counts, which is what the
 randomized test families use.
 
-The one exception is brute_force_min_update: it takes the package's
-consistency repair as given, and above 20 variables it falls back to the
-package's SAT solver.  It imports mrex inside the function, so importing
-this module stays solver-free.
+Two exceptions use the package's SAT solver.  brute_force_min_update takes
+the package's consistency repair as given, and above 20 variables it falls
+back to the solver.  verify_by_probing is the verifier's plain reference:
+one solve per support clause, no model rotation.  Both import mrex inside
+the function, so importing this module stays solver-free.
 """
 
 from __future__ import annotations
@@ -180,6 +181,43 @@ def brute_force_min_update(problem, *, max_candidates: int = 14):
             if entails(subset):
                 return size, tuple(candidates[i] for i in subset)
     raise PremiseError("no candidate subset closes the entailment gap")
+
+
+def verify_by_probing(kb_h: Iterable[Clause], support: Iterable[Clause], query):
+    """verify_explanation's report with one minimality solve per support
+    clause: clause i is redundant when ¬query and the other support clauses
+    are unsatisfiable."""
+    from mrex.formula import negate_query
+    from mrex.minsets import workspace
+    from mrex.reconcile import VerificationReport
+
+    kb_h_clauses = tuple(kb_h)
+    support = tuple(sorted(set(tuple(c) for c in support)))
+    env = max(
+        [query.num_vars]
+        + [abs(l) for c in kb_h_clauses for l in c]
+        + [abs(l) for c in support for l in c]
+    )
+    neg = negate_query(query, env + 1)
+    total = env + len(neg.aux_vars)
+    failures: list[str] = []
+
+    ws = workspace(total, kb_h_clauses + support, neg.clauses)
+    entailed = not ws.solve_ids(range(len(ws.soft))).satisfiable
+    if not entailed:
+        failures.append("support with kb_h does not entail the query")
+    consistent = ws.solve_ids(()).satisfiable
+    if not consistent:
+        failures.append("support conflicts with kb_h")
+
+    minimal = True
+    probe = workspace(total, neg.clauses, support)
+    for i in range(len(support)):
+        rest = set(range(len(support))) - {i}
+        if not probe.solve_ids(rest).satisfiable:
+            minimal = False
+            failures.append(f"support clause {support[i]} is redundant")
+    return VerificationReport(entailed, minimal, consistent, tuple(failures))
 
 
 def subset_sat_table(

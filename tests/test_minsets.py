@@ -12,6 +12,7 @@ from mrex.minsets import (
     Budget,
     NothingToCorrectError,
     NotUnsatisfiableError,
+    Rotation,
     SeedInconsistentError,
     extract_mcs,
     extract_mus,
@@ -170,6 +171,63 @@ def test_mus_search_after_the_first_solve_runs_on_the_first_core(monkeypatch):
         assert log[1].hard == ws.hard and log[1].num_vars == n
         assert got.ids in tt_all_muses(soft, hard, n)
     assert strict >= 20
+
+
+def test_rotation_marks_only_necessary_clauses():
+    """Every clause that rotation marks from a solver model is necessary:
+    the hard clauses and the live clauses without it are satisfiable.  Live
+    sets are all soft clauses and the first core."""
+    rng = random.Random(14)
+    models = beyond = 0
+    for _ in range(120):
+        n = rng.randint(3, 7)
+        soft, hard = random_unsat_soft(rng, n, rng.randint(n + 2, n + 6), rng.randint(0, 2))
+        if not tt_satisfiable(hard, n):
+            continue
+        ws = workspace(n, hard, soft)
+        rotation = Rotation(ws)
+        core = ws.core_ids(ws.solve_ids(range(len(soft))))
+        for live in (set(range(len(soft))), core):
+            for i in sorted(live):
+                r = ws.solve_ids(live - {i})
+                if not r.satisfiable:
+                    continue
+                models += 1
+                necessary: set[int] = set()
+                rotation.mark(r.model, i, live, necessary)
+                assert i in necessary <= live
+                beyond += len(necessary) - 1
+                for j in necessary:
+                    rest = [soft[k] for k in sorted(live - {j})]
+                    assert tt_satisfiable(hard + rest, n), (soft, hard, sorted(live), i, j)
+    assert models >= 300 and beyond >= 300
+
+
+# x1, x1->x2, ..., x9->x10, -x10: its own MUS, and every clause is necessary
+_TEN_CHAIN = [(1,)] + [(-k, k + 1) for k in range(1, 10)] + [(-10,)]
+
+
+def test_rotation_saves_the_solves_of_a_chain(monkeypatch):
+    """Without rotation the deletion pass makes one solve per chain clause
+    (12 with the first); the first SAT answer's model rotates along the
+    whole chain."""
+    monkeypatch.setattr(minsets, "check_minimality", False)  # audits solve too
+    budget = Budget(None)
+    got = extract_mus(workspace(10, [], _TEN_CHAIN, budget=budget))
+    assert got.ids == frozenset(range(len(_TEN_CHAIN)))
+    assert budget.calls == 2
+
+
+def test_rotation_ignores_clauses_outside_the_live_set():
+    """The MUS pass's live set shrinks to each core, so the workspace holds
+    clauses that no longer count: (-1,) is falsified by the first flip but
+    is not live, and the rotation still runs along the whole chain."""
+    ws = workspace(10, [], _TEN_CHAIN + [(-1,)])
+    live = set(range(len(_TEN_CHAIN)))
+    r = ws.solve_ids(live - {0})
+    necessary: set[int] = set()
+    Rotation(ws).mark(r.model, 0, live, necessary)
+    assert necessary == live
 
 
 # q=4 follows from the chain x1, x1->x2, x2->x3, x3->q; kb_h lacks x2->x3

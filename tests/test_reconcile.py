@@ -33,6 +33,7 @@ from oracles import (
     tt_min_support_size,
     tt_min_update_size,
     tt_satisfiable,
+    verify_by_probing,
 )
 
 # Variables: a=1, b=2, c=3, d=4, f=5.
@@ -396,6 +397,45 @@ class TestVerifier:
         report = verify_explanation(_formula([(-1,)]), [(1,), (2,)], _formula([(2,)]))
         assert not report.consistent
         assert not report.ok
+
+    def test_report_matches_one_solve_per_clause(self, monkeypatch):
+        """Model rotation only skips probe solves that would answer SAT, so
+        the report, failures in order, is that of one solve per clause: on
+        found supports, on supports padded with redundant clauses and on
+        supports that do not entail the query on their own."""
+        solves = [0]
+        real = SatSession.solve_ids
+
+        def solve_ids(ws, ids):
+            solves[0] += 1
+            return real(ws, ids)
+
+        monkeypatch.setattr(SatSession, "solve_ids", solve_ids)
+        rng = random.Random(20261019)
+        redundant = not_entailing = saved = 0
+        for trial in range(80):
+            kb_a_l, kb_h_l, query_l = random_reconcile_instance(rng)
+            kb_a, kb_h, query = _formula(kb_a_l, 8), _formula(kb_h_l, 8), _formula(query_l, 8)
+            expl = reconcile(ReconcileProblem(kb_a, kb_h, query))
+            kept = [c for c in kb_h.clauses if c not in set(expl.removed_from_kb_h)]
+            support = list(expl.support)
+            others = [c for c in kb_a.clauses + kb_h.clauses if c not in support]
+            padded = support + rng.sample(others, min(len(others), rng.randint(1, 4)))
+            weakened = support[:]
+            if weakened:
+                weakened.remove(rng.choice(weakened))
+            weakened += rng.sample(others, min(len(others), rng.randint(0, 2)))
+            for candidate in (support, padded, weakened):
+                solves[0] = 0
+                report = verify_explanation(kept, candidate, query)
+                rotated = solves[0]
+                solves[0] = 0
+                assert report == verify_by_probing(kept, candidate, query), (
+                    trial, kept, candidate, query_l)
+                saved += solves[0] - rotated
+                redundant += any("redundant" in f for f in report.failures)
+                not_entailing += not tt_entails(candidate, query_l, 8)
+        assert redundant >= 40 and not_entailing >= 40 and saved >= 100
 
     def test_brute_force_guard(self):
         big_a = _formula([(v,) for v in range(1, 17)])

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+import types
 
 import pytest
 
-from mrex import solver
+from mrex import minsets, solver
+from mrex.minsets import Budget, _OutOfTime
 from mrex.solver import SatSession, SolverUsageError, _luby
 
 from oracles import random_cnf, tt_satisfiable
@@ -246,6 +248,28 @@ def test_solve_survives_a_restart():
     assert s.solve().satisfiable
     assert s.conflicts > 256
     assert s.decisions > 0
+
+
+def test_deadline_passing_mid_solve_stops_the_solve(monkeypatch):
+    """The restart instance's solve needs more than 256 conflicts; once the
+    clock passes the deadline, the solve raises at its 256th conflict, and
+    the session still answers its next solve."""
+    offset = [0.0]
+    real_time = minsets.time
+    monkeypatch.setattr(minsets, "time", types.SimpleNamespace(
+        monotonic=lambda: real_time.monotonic() + offset[0]))
+    budget = Budget(1000.0)
+    s = SatSession(90, budget=budget)
+    for c in _random_3sat(1, 90, 383):
+        s.add_hard(c)
+    offset[0] = 1e6
+    with pytest.raises(_OutOfTime):
+        s.solve()
+    assert s.conflicts == 256
+    offset[0] = 0.0
+    res = s.solve_ids(())  # audited: tests run with check_models on
+    assert res.satisfiable and budget.calls == 1
+    assert all(any(res.value(l) for l in c) for c in s.hard)
 
 
 def test_learnt_clauses_stay_bounded_without_restarts(monkeypatch):
