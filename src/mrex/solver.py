@@ -10,6 +10,15 @@ address soft clauses by position: solve_ids, core_ids and satisfied_ids
 translate to and from selectors.  Solving is deterministic: identical
 session histories produce identical answers, models, and conflict subsets.
 
+Each assumption takes one decision level.  A solve keeps the longest prefix
+of the previous solve's assumption levels whose literals it still assumes,
+and assumes the rest after them in ascending order; an answer leaves the
+trail at the level it was found on (van der Tak, Ramos & Heule, "Reusing the
+Assignment Trail in CDCL Solvers", JSAT 2011).  So a caller that grows one
+assumption set, as MCS extraction does, pays one level per new literal, not
+one per literal.  Adding a clause, and reducing the learnt clauses, start
+from level 0.
+
 Each decision branches on the unassigned variable of largest VSIDS activity,
 the smallest variable among ties.  The variable order is one list of all
 variables sorted by (-activity, var) with a cursor below which every
@@ -104,6 +113,10 @@ class SatSession:
         self._n_problem_clauses = 0
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
+        # The last solve's assumptions in the order it assumed them; trail
+        # levels 1..len(_assumed), as far as the trail reaches, are their
+        # assumption levels.
+        self._assumed: list[int] = []
         self._qhead = 0
         self._var_inc = 1.0
         self._ok = True
@@ -113,6 +126,7 @@ class SatSession:
         self.soft: list[tuple[int, ...]] = []
         self.conflicts = 0
         self.decisions = 0
+        self.assumption_levels = 0
 
     def _new_var(self) -> int:
         self._nvars += 1
@@ -401,7 +415,9 @@ class SatSession:
         self._enqueue(learnt[0], learnt)
 
     def _reduce_db(self) -> None:
-        """Drop the longer half of the learnt clauses (called at level 0)."""
+        """Drop the longer half of the learnt clauses.  Called at level 0
+        only, so which clauses survive does not depend on the trail: solve
+        gives up its kept assumption levels when a reduction is due."""
         ranked = sorted(range(len(self._learnts)), key=lambda i: (len(self._learnts[i]), i))
         kept_ids = set(ranked[: len(ranked) // 2])
         new_learnts: list[list[int]] = []
@@ -415,24 +431,44 @@ class SatSession:
         self._learnts = new_learnts
 
     def solve(self, assumptions: Iterable[int] = ()) -> SolveResult:
+        """Solve under the assumption literals.
+
+        The trail keeps the longest prefix of the previous solve's
+        assumption levels whose literals are all still assumed; the other
+        assumptions follow in ascending order, one decision level each.  An
+        answer leaves the trail where it stands, so the next solve starts
+        from it.  The order depends only on the session's history, so
+        identical histories give identical answers.
+        """
         aset = set(assumptions)
         for a in aset:
             if a == 0 or abs(a) > self._nvars:
                 raise SolverUsageError(f"assumption {a} references an unregistered variable")
-        assumps = sorted(aset)
-        if self._trail_lim:
-            self._backtrack(0)
-        if self._ok and self._propagate() is not None:
-            self._ok = False
-        if not self._ok:
-            return SolveResult(False, conflict_subset=frozenset())
-        for a in assumps:
-            if -a in aset:
-                return SolveResult(False, conflict_subset=frozenset((a, -a)))
-
         # Reduce here too, or solves that never restart keep every learnt.
         max_learnts = max(_MIN_LEARNTS, 2 * self._n_problem_clauses)
-        if len(self._learnts) > max_learnts:
+        reduce = len(self._learnts) > max_learnts
+        assumed = self._assumed
+        k = 0
+        if not reduce:  # _reduce_db runs at level 0
+            depth = min(len(self._trail_lim), len(assumed))
+            while k < depth and assumed[k] in aset:
+                k += 1
+        self._backtrack(k)
+        if k:
+            kept = assumed[:k]
+            assumps = kept + sorted(aset.difference(kept))
+        else:
+            assumps = sorted(aset)
+            if self._ok and self._propagate() is not None:
+                self._ok = False
+            if not self._ok:
+                return SolveResult(False, conflict_subset=frozenset())
+        clash = min((a for a in aset if a < 0 and -a in aset), default=0)
+        if clash:
+            return SolveResult(False, conflict_subset=frozenset((clash, -clash)))
+        self._assumed = assumps
+
+        if reduce:
             self._reduce_db()
         conflicts = 0
         restarts = 0
@@ -467,14 +503,11 @@ class SatSession:
             if level < len(assumps):
                 p = assumps[level]
                 v = self._value(p)
-                if v == 1:
-                    self._trail_lim.append(len(self._trail))
-                elif v == -1:
-                    subset = self._analyze_final(p)
-                    self._backtrack(0)
-                    return SolveResult(False, conflict_subset=subset)
-                else:
-                    self._trail_lim.append(len(self._trail))
+                if v == -1:
+                    return SolveResult(False, conflict_subset=self._analyze_final(p))
+                self.assumption_levels += 1
+                self._trail_lim.append(len(self._trail))
+                if v == 0:
                     self._enqueue(p, None)
                     if not watches.get(-p):
                         self._qhead += 1
@@ -484,7 +517,6 @@ class SatSession:
                     model = tuple(a == 1 for a in self._assign)
                     if check_models:
                         self._audit(model, aset)
-                    self._backtrack(0)
                     return SolveResult(True, model=model)
                 self.decisions += 1
                 self._trail_lim.append(len(self._trail))

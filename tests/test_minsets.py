@@ -230,6 +230,17 @@ def test_rotation_ignores_clauses_outside_the_live_set():
     assert necessary == live
 
 
+def test_mcs_test_keeps_the_seed_assumption_levels(monkeypatch):
+    """With the seed x1..x5 of the chain, the first model falsifies only
+    x5->x6.  Its test keeps the seed's five assumption levels and opens one
+    level per selector up to the one that fails: 10 levels, where assuming
+    every selector again would open 15."""
+    monkeypatch.setattr(minsets, "check_minimality", False)  # audits solve too
+    ws = workspace(10, [], _TEN_CHAIN)
+    assert extract_mcs(ws, range(5)).ids == {5}
+    assert ws.assumption_levels == 10
+
+
 # q=4 follows from the chain x1, x1->x2, x2->x3, x3->q; kb_h lacks x2->x3
 # and carries clauses over y1..y3 (5..7) that no core needs.
 _CHAIN = [(1,), (-1, 2), (-2, 3), (-3, 4)]

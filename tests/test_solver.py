@@ -368,3 +368,116 @@ def test_golden_digest_of_incremental_solves():
                 line = "unsat " + " ".join(map(str, sorted(r.conflict_subset)))
             h.update(line.encode() + b"\n")
     assert h.hexdigest() == "f5c66999825f48ed651e324c2e1d50fae5ccb96b52111d9de85ed0b69e0ee4ef"
+
+
+def test_a_solve_keeps_the_assumption_levels_still_assumed():
+    """Extending the last assumption set by one literal opens one level,
+    even when the new literal sorts first; dropping one keeps the levels
+    below it.  add_hard drops to level 0, and an answer leaves the trail in
+    place: a failed assumption opens no level, and the same set without
+    the failed literal opens none."""
+    s = SatSession(10)
+    s.add_hard((1, 2, 3))
+    assert s.solve([4, 5, 6]).satisfiable
+    assert s.assumption_levels == 3
+    assert s.solve([4, 5, 6, -1]).satisfiable  # order 4 5 6 -1
+    assert s.assumption_levels == 4
+    assert s.solve([4, 6, -1]).satisfiable  # keeps 4, then -1 6
+    assert s.assumption_levels == 6
+    s.add_hard((-7, -8))
+    assert s.solve([4, 6, -1]).satisfiable  # order -1 4 6
+    assert s.assumption_levels == 9
+    res = s.solve([-1, 4, 6, 7, 8])  # 7 implies -8
+    assert res.conflict_subset == {7, 8}
+    assert s.assumption_levels == 10
+    assert s.solve([-1, 4, 6, 7]).satisfiable
+    assert s.assumption_levels == 10
+
+
+def test_reused_assumption_levels_keep_answers_sound(monkeypatch):
+    """Random sessions solve sequences of overlapping assumption sets over
+    selectors and problem literals, with clauses added in between,
+    complementary pairs, learnt reductions forced often and solves stopped
+    at a conflict by a passed deadline.  Every answer agrees with the
+    truth table; every conflict subset is a subset of the assumptions and
+    unsatisfiable on its own."""
+    monkeypatch.setattr(solver, "_MIN_LEARNTS", 6)
+    monkeypatch.setattr(solver, "_POLL_CONFLICTS", 1)
+    offset = [0.0]
+    real_time = minsets.time
+    monkeypatch.setattr(minsets, "time", types.SimpleNamespace(
+        monotonic=lambda: real_time.monotonic() + offset[0]))
+    reductions = []
+    real_reduce = SatSession._reduce_db
+
+    def reduce_db(s):
+        assert not s._trail_lim
+        reductions.append(s)
+        real_reduce(s)
+
+    monkeypatch.setattr(SatSession, "_reduce_db", reduce_db)
+    rng = random.Random(23)
+    answers = unsat = clashes = stopped = reused = 0
+    for _ in range(30):
+        n = rng.randint(10, 12)
+        s = SatSession(n, budget=Budget(1000.0))
+        hard = [_clause3(rng, n) for _ in range(3 * n)]
+        for c in hard:
+            s.add_hard(c)
+        soft = {}  # selector -> clause
+        for c in [_clause3(rng, n) for _ in range(2 * n)]:
+            soft[s.add_soft(c)] = c
+        if rng.random() < 0.5:
+            s._n_problem_clauses = 0  # reduce past _MIN_LEARNTS learnts
+
+        def clauses(lits):
+            return hard + [soft[x] if x > n else (x,) for x in lits]
+
+        assumed: list[int] = rng.sample(sorted(soft), n // 2)
+        for _ in range(80):
+            step = rng.random()
+            if step < 0.05:
+                c = _clause3(rng, n)
+                s.add_hard(c)
+                hard.append(c)
+            elif step < 0.1:
+                c = _clause3(rng, n)
+                soft[s.add_soft(c)] = c
+            step = rng.random()
+            if step < 0.35:
+                free = sorted(set(soft) - set(assumed))
+                assumed += rng.sample(free, min(2, len(free)))
+            elif step < 0.7:
+                for x in rng.sample(assumed, min(2, len(assumed))):
+                    assumed.remove(x)
+            elif step < 0.8:
+                assumed.append(rng.choice((1, -1)) * rng.randint(1, n))
+            elif step < 0.85:
+                lits = [x for x in assumed if abs(x) <= n]
+                if lits:
+                    assumed.append(-rng.choice(lits))
+            elif step < 0.9:
+                assumed = rng.sample(sorted(soft), n // 2)
+            if rng.random() < 0.15:
+                offset[0] = 1e6
+            aset = set(assumed)
+            before = s.assumption_levels
+            try:
+                res = s.solve(aset)
+            except _OutOfTime:
+                stopped += 1
+                continue
+            finally:
+                offset[0] = 0.0
+            answers += 1
+            # a SAT answer holds one level per assumption; fewer opened
+            # means levels were kept
+            reused += res.satisfiable and s.assumption_levels - before < len(aset)
+            assert res.satisfiable == tt_satisfiable(clauses(aset), n)
+            if not res.satisfiable:
+                unsat += 1
+                assert res.conflict_subset <= aset
+                assert not tt_satisfiable(clauses(res.conflict_subset), n)
+                clashes += any(-x in res.conflict_subset for x in res.conflict_subset)
+    assert answers >= 2000 and unsat >= 500 and clashes >= 150
+    assert stopped >= 30 and reused >= 800 and len(reductions) >= 25
