@@ -19,14 +19,29 @@ assumption set, as MCS extraction does, pays one level per new literal, not
 one per literal.  Adding a clause, and reducing the learnt clauses, start
 from level 0.
 
-Each decision branches on the unassigned variable of largest VSIDS activity,
-the smallest variable among ties.  The variable order is one list of all
-variables sorted by (-activity, var) with a cursor below which every
-variable is assigned, in the spirit of MiniSat's order (Een & Sorensson,
-"An Extensible SAT-solver", SAT 2003): backtracking only lowers the cursor,
-and bumping an activity marks the list for one re-sort before the next
-decision, so the order never holds more than num_vars entries.  Restarts
-follow the Luby sequence in units of 256 conflicts.
+Each decision branches on the unassigned problem variable of largest VSIDS
+activity, the smallest variable among ties.  Selectors are never decided
+(MiniSat's non-decision variables; Een & Sorensson, "An Extensible
+SAT-solver", SAT 2003).  A selector occurs only as -s: in its guarded
+clause, hence in every learnt clause, hence in every literal that
+propagation forces.  So a selector that no assumption sets true is never
+true; if it is still unassigned once every problem variable is assigned, it
+reads false in the model, which satisfies every clause that holds it.
+
+The variable order is one list of the problem variables sorted by
+(-activity, var) with a cursor below which every variable is assigned, in
+the spirit of MiniSat's order: backtracking only lowers the cursor, and
+bumping an activity marks the list for one re-sort before the next
+decision, so the order holds exactly num_vars entries.  Restarts follow the
+Luby sequence in units of 256 conflicts.
+
+Binary clauses, problem and learnt alike, are not watched: each literal
+keeps the list of literals that a binary clause implies once it is false
+(MiniSat's binary implication lists), and propagation runs those before the
+watched long clauses at each trail literal.  A literal implied by a binary
+clause gets the reason [implied, other], the same shape as a long clause
+whose first literal is the implied one, so conflict analysis and the learnt
+reduction treat both alike.
 """
 
 from __future__ import annotations
@@ -54,10 +69,11 @@ class SolverUsageError(ValueError):
 class SolveResult:
     """Outcome of one solve call.
 
-    model is a total assignment indexed by variable (entry 0 unused) on SAT.
-    conflict_subset on UNSAT names assumption literals that, together with
-    the hard clauses and the soft clauses whose selectors appear among them,
-    are jointly unsatisfiable.
+    model is a total assignment indexed by variable (entry 0 unused) on SAT;
+    a selector that no assumption set true reads False.  conflict_subset on
+    UNSAT names assumption literals that, together with the hard clauses
+    and the soft clauses whose selectors appear among them, are jointly
+    unsatisfiable.
     """
 
     satisfiable: bool
@@ -108,7 +124,11 @@ class SatSession:
         self._rank: list[int] = [0, *range(num_vars)]
         self._next = 0
         self._stale = False
+        # _watches[l] holds the long clauses that watch literal l; a binary
+        # clause (a, b) lives only in _bins, as b in _bins[a] and a in
+        # _bins[b]: once a is false, b is implied with reason [b, a].
         self._watches: dict[int, list[list[int]]] = {}
+        self._bins: dict[int, list[int]] = {}
         self._learnts: list[list[int]] = []
         self._n_problem_clauses = 0
         self._trail: list[int] = []
@@ -127,6 +147,7 @@ class SatSession:
         self.conflicts = 0
         self.decisions = 0
         self.assumption_levels = 0
+        self.propagations = 0
 
     def _new_var(self) -> int:
         self._nvars += 1
@@ -136,9 +157,9 @@ class SatSession:
         self._reason.append(None)
         self._phase.append(False)
         self._activity.append(0.0)
-        # zero activity and the largest index: last in (-activity, var) order
-        self._rank.append(len(self._order))
-        self._order.append(v)
+        # a selector is never decided: it stays out of the order, ranked at
+        # its end so that unassigning it never lowers the cursor
+        self._rank.append(self.num_vars)
         return v
 
     def add_hard(self, clause: Iterable[int]) -> None:
@@ -224,8 +245,13 @@ class SatSession:
         self._attach(out)
 
     def _attach(self, clause: list[int]) -> None:
-        self._watches.setdefault(clause[0], []).append(clause)
-        self._watches.setdefault(clause[1], []).append(clause)
+        a, b = clause[0], clause[1]
+        if len(clause) == 2:
+            self._bins.setdefault(a, []).append(b)
+            self._bins.setdefault(b, []).append(a)
+        else:
+            self._watches.setdefault(a, []).append(clause)
+            self._watches.setdefault(b, []).append(clause)
 
     def _enqueue(self, lit: int, reason: list[int] | None) -> None:
         v = lit if lit > 0 else -lit
@@ -235,50 +261,72 @@ class SatSession:
         self._trail.append(lit)
 
     def _propagate(self) -> list[int] | None:
+        """Propagate the trail from _qhead to a fixpoint or a conflict; each
+        trail literal's binary implications go before its long clauses."""
         trail = self._trail
         assign = self._assign
+        level = self._level
+        reason = self._reason
         watches = self._watches
-        while self._qhead < len(trail):
-            p = trail[self._qhead]
-            self._qhead += 1
-            wl = watches.get(-p)
+        bins = self._bins
+        push = trail.append
+        lvl = len(self._trail_lim)
+        start = qhead = self._qhead
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
+            np = -p
+            imps = bins.get(np)
+            if imps:
+                for q in imps:
+                    v = q if q > 0 else -q
+                    a = assign[v]
+                    if a == 0:
+                        assign[v] = 1 if q > 0 else -1
+                        level[v] = lvl
+                        reason[v] = [q, np]
+                        push(q)
+                    elif (a == 1) != (q > 0):
+                        self.propagations += qhead - start
+                        self._qhead = len(trail)
+                        return [q, np]
+            wl = watches.get(np)
             if not wl:
                 continue
             keep: list[list[int]] = []
-            i = 0
-            n = len(wl)
-            while i < n:
-                c = wl[i]
-                i += 1
-                if len(c) == 0:
-                    continue  # lazily deleted learnt
-                if c[0] == -p:
+            it = iter(wl)
+            for c in it:
+                if c[0] == np:
                     c[0] = c[1]
-                    c[1] = -p
+                    c[1] = np
                 first = c[0]
                 v0 = assign[first] if first > 0 else -assign[-first]
                 if v0 == 1:
                     keep.append(c)
                     continue
-                moved = False
                 for k in range(2, len(c)):
                     lk = c[k]
                     if (assign[lk] if lk > 0 else -assign[-lk]) != -1:
                         c[1] = lk
-                        c[k] = -p
+                        c[k] = np
                         watches.setdefault(lk, []).append(c)
-                        moved = True
                         break
-                if moved:
-                    continue
-                keep.append(c)
-                if v0 == -1:
-                    keep.extend(wl[i:])
-                    watches[-p] = keep
-                    self._qhead = len(trail)
-                    return c
-                self._enqueue(first, c)
-            watches[-p] = keep
+                else:
+                    keep.append(c)
+                    if v0 == -1:
+                        keep.extend(it)
+                        watches[np] = keep
+                        self.propagations += qhead - start
+                        self._qhead = len(trail)
+                        return c
+                    v = first if first > 0 else -first
+                    assign[v] = 1 if first > 0 else -1
+                    level[v] = lvl
+                    reason[v] = c
+                    push(first)
+            watches[np] = keep
+        self.propagations += qhead - start
+        self._qhead = qhead
         return None
 
     def _backtrack(self, level: int) -> None:
@@ -391,7 +439,7 @@ class SatSession:
         order = self._order
         if self._stale:
             # a stable sort keeps tied activities in ascending variable order
-            order[:] = sorted(range(1, self._nvars + 1),
+            order[:] = sorted(range(1, self.num_vars + 1),
                               key=self._activity.__getitem__, reverse=True)
             rank = self._rank
             for i, v in enumerate(order):
@@ -424,11 +472,16 @@ class SatSession:
         for i, c in enumerate(self._learnts):
             v0 = c[0] if c[0] > 0 else -c[0]
             locked = self._assign[v0] != 0 and self._reason[v0] is c
+            # a binary learnt stays: its implications in _bins are never pruned
             if i in kept_ids or len(c) <= 2 or locked:
                 new_learnts.append(c)
             else:
-                c.clear()  # watchers drop emptied clauses lazily
+                c.clear()
         self._learnts = new_learnts
+        # dropped clauses leave the watch lists here; _propagate never
+        # tests for them
+        for wl in self._watches.values():
+            wl[:] = [c for c in wl if c]
 
     def solve(self, assumptions: Iterable[int] = ()) -> SolveResult:
         """Solve under the assumption literals.
@@ -474,7 +527,12 @@ class SatSession:
         restarts = 0
         limit = _RESTART_BASE * _luby(1)
         trail = self._trail
+        trail_lim = self._trail_lim
+        assign = self._assign
+        levels = self._level
+        phase = self._phase
         watches = self._watches
+        bins = self._bins
         while True:
             # A decision or assumption whose negation nothing watches has
             # already stepped _qhead past itself; only real work calls here.
@@ -499,30 +557,35 @@ class SatSession:
                 if self.budget is not None and self.conflicts % _POLL_CONFLICTS == 0:
                     self.budget.check()
                 continue
-            level = len(self._trail_lim)
+            level = len(trail_lim)
             if level < len(assumps):
                 p = assumps[level]
-                v = self._value(p)
-                if v == -1:
+                v = p if p > 0 else -p
+                a = assign[v]
+                if a and (a == 1) != (p > 0):
                     return SolveResult(False, conflict_subset=self._analyze_final(p))
                 self.assumption_levels += 1
-                self._trail_lim.append(len(self._trail))
-                if v == 0:
-                    self._enqueue(p, None)
-                    if not watches.get(-p):
+                trail_lim.append(len(trail))
+                if a == 0:  # an unassigned variable's reason is already None
+                    assign[v] = 1 if p > 0 else -1
+                    levels[v] = level + 1
+                    trail.append(p)
+                    if not watches.get(-p) and not bins.get(-p):
                         self._qhead += 1
             else:
                 v = self._pick_branch()
                 if v == 0:
-                    model = tuple(a == 1 for a in self._assign)
+                    model = tuple(map((1).__eq__, assign))
                     if check_models:
                         self._audit(model, aset)
                     return SolveResult(True, model=model)
                 self.decisions += 1
-                self._trail_lim.append(len(self._trail))
-                lit = v if self._phase[v] else -v
-                self._enqueue(lit, None)
-                if not watches.get(-lit):
+                trail_lim.append(len(trail))
+                lit = v if phase[v] else -v
+                assign[v] = 1 if lit > 0 else -1
+                levels[v] = level + 1
+                trail.append(lit)
+                if not watches.get(-lit) and not bins.get(-lit):
                     self._qhead += 1
 
     def _audit(self, model: tuple[bool, ...], assumed: set[int]) -> None:

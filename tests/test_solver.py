@@ -10,7 +10,7 @@ from mrex import minsets, solver
 from mrex.minsets import Budget, _OutOfTime
 from mrex.solver import SatSession, SolverUsageError, _luby
 
-from oracles import random_cnf, tt_satisfiable
+from oracles import random_clause, random_cnf, tt_satisfiable
 
 
 def test_empty_session_is_sat():
@@ -290,11 +290,12 @@ def test_learnt_clauses_stay_bounded_without_restarts(monkeypatch):
 
 
 def test_pick_branch_matches_brute_force():
-    """Every decision takes the unassigned variable of largest activity,
-    the smallest one among ties, also across a 1e100 rescale."""
+    """Every decision takes the unassigned problem variable of largest
+    activity, the smallest one among ties, also across a 1e100 rescale;
+    selectors are never decided."""
     rng = random.Random(31)
     picks = conflicts = 0
-    for k in range(10):
+    for k in range(30):
         n = rng.randint(15, 40)
         s = SatSession(n)
         if k == 0:
@@ -303,11 +304,11 @@ def test_pick_branch_matches_brute_force():
 
         def checked(s=s, pick=pick):
             nonlocal picks
-            free = [(-s._activity[v], v) for v in range(1, s._nvars + 1)
+            free = [(-s._activity[v], v) for v in range(1, s.num_vars + 1)
                     if s._assign[v] == 0]
             v = pick()
             assert v == (min(free)[1] if free else 0)
-            assert len(s._order) == s._nvars
+            assert len(s._order) == s.num_vars
             picks += 1
             return v
 
@@ -367,7 +368,7 @@ def test_golden_digest_of_incremental_solves():
             else:
                 line = "unsat " + " ".join(map(str, sorted(r.conflict_subset)))
             h.update(line.encode() + b"\n")
-    assert h.hexdigest() == "f5c66999825f48ed651e324c2e1d50fae5ccb96b52111d9de85ed0b69e0ee4ef"
+    assert h.hexdigest() == "02b0cf870e83144a06e8e551dcdd43f20d81b298ad20f42607f5ddc5a55ba201"
 
 
 def test_a_solve_keeps_the_assumption_levels_still_assumed():
@@ -481,3 +482,119 @@ def test_reused_assumption_levels_keep_answers_sound(monkeypatch):
                 clashes += any(-x in res.conflict_subset for x in res.conflict_subset)
     assert answers >= 2000 and unsat >= 500 and clashes >= 150
     assert stopped >= 30 and reused >= 800 and len(reductions) >= 25
+
+
+def test_propagations_count_the_dequeued_trail_literals():
+    """The unit 1 runs down a chain of two binary clauses and a ternary
+    one: four trail literals dequeued.  Assuming 5, which nothing watches
+    negated, dequeues none; assuming a selector dequeues it and the literal
+    its guarded clause, binary after root simplification, implies."""
+    s = SatSession(6)
+    s.add_hard((-1, 2))
+    s.add_hard((-2, 3))
+    s.add_hard((-2, -3, 4))
+    assert s.propagations == 0
+    s.add_hard((1,))
+    assert s.propagations == 4
+    assert s.solve([5]).satisfiable
+    assert s.propagations == 4
+    sel = s.add_soft((-4, 6))
+    res = s.solve([sel])
+    assert res.satisfiable and res.value(6)
+    assert s.propagations == 6
+
+
+def test_only_assumed_selectors_are_true_and_none_is_decided():
+    """No decision picks a selector, and a selector is true in a SAT model
+    exactly when the solve assumed it true, also when other selectors are
+    assumed false.  Every answer agrees with the truth table."""
+    rng = random.Random(41)
+    sat = decided = 0
+    for _ in range(40):
+        n = rng.randint(6, 10)
+        s = SatSession(n)
+        pick = s._pick_branch
+
+        def checked(s=s, pick=pick):
+            nonlocal decided
+            v = pick()
+            assert 0 <= v <= s.num_vars
+            decided += v > 0
+            return v
+
+        s._pick_branch = checked
+        hard = random_cnf(rng, n, n // 2)
+        for c in hard:
+            s.add_hard(c)
+        soft = {s.add_soft(c): c for c in random_cnf(rng, n, 2 * n)}
+        sels = sorted(soft)
+        for _ in range(25):
+            aset = {x for x in sels if rng.random() < 0.25}
+            aset |= {-x for x in sels if x not in aset and rng.random() < 0.1}
+            aset |= {v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 2)}
+            res = s.solve(aset)
+            clauses = hard + [soft[x] for x in aset if x > n]
+            clauses += [(x,) for x in aset if abs(x) <= n]
+            assert res.satisfiable == tt_satisfiable(clauses, n)
+            if res.satisfiable:
+                sat += 1
+                assert [x for x in sels if res.model[x]] == sorted(aset.intersection(sels))
+    assert sat >= 450 and decided >= 1400
+
+
+def test_binary_heavy_sessions_stay_sound(monkeypatch):
+    """Mostly binary hard clauses, soft units (binary once guarded) and soft
+    binaries, hard clauses added between solves (among them units that make
+    a binary clause unit at level 0) and a learnt reduction at nearly every
+    solve.  Every answer agrees with the truth table, and every conflict
+    subset is a subset of the assumptions and unsatisfiable on its own."""
+    monkeypatch.setattr(solver, "_MIN_LEARNTS", 0)
+    reductions = []  # (binary learnts, learnts dropped) per reduction
+    real_reduce = SatSession._reduce_db
+
+    def reduce_db(s):
+        before = len(s._learnts)
+        real_reduce(s)
+        reductions.append((sum(len(c) == 2 for c in s._learnts), before - len(s._learnts)))
+
+    monkeypatch.setattr(SatSession, "_reduce_db", reduce_db)
+    rng = random.Random(57)
+    answers = unsat = root_units = 0
+    for _ in range(40):
+        n = rng.randint(12, 14)
+        s = SatSession(n)
+        hard = [random_clause(rng, n, 2) for _ in range(4 * n // 5)]
+        hard += [random_clause(rng, n, 3) for _ in range(6 * n // 5)]
+        for c in hard:
+            s.add_hard(c)
+        soft = {}  # selector -> clause
+        for _ in range(2 * n):
+            c = random_clause(rng, n, rng.choice((1, 1, 2)))
+            soft[s.add_soft(c)] = c
+
+        def clauses(lits):
+            return hard + [soft[x] if x > n else (x,) for x in lits]
+
+        for _ in range(60):
+            if rng.random() < 0.1:
+                binaries = [c for c in hard if len(c) == 2]
+                c = (-rng.choice(rng.choice(binaries)),)
+                if not tt_satisfiable(hard + [c], n):
+                    c = random_clause(rng, n, 2)
+                root_units += len(c) == 1
+                s.add_hard(c)
+                hard.append(c)
+            s._n_problem_clauses = 0  # reduce once the learnts are not empty
+            aset = {x for x in soft if rng.random() < 0.08}
+            aset |= {v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 2)}
+            res = s.solve(aset)
+            answers += 1
+            assert res.satisfiable == tt_satisfiable(clauses(aset), n)
+            if not res.satisfiable:
+                unsat += 1
+                assert res.conflict_subset <= aset
+                assert not tt_satisfiable(clauses(res.conflict_subset), n)
+    assert answers == 2400 and 1500 <= unsat <= 1900 and root_units >= 100
+    # binary learnts survive every reduction; longer ones are dropped
+    assert len(reductions) >= 700 and sum(b for b, _ in reductions) >= 1000
+    assert sum(d for _, d in reductions) >= 10
