@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .formula import CnfFormula, FormulaError
-from .solver import SatSession
+from .minsets import workspace
 
 
 class UnsatisfiableError(FormulaError):
@@ -17,9 +17,7 @@ def compute_backbone(kb: CnfFormula) -> tuple[int, ...]:
     variables absent from every clause can never be backbone.  Each survivor
     is confirmed by one solve under the opposing assumption.
     """
-    session = SatSession(kb.num_vars)
-    for c in kb.clauses:
-        session.add_hard(c)
+    session = workspace(kb.num_vars, kb.clauses)
     first = session.solve()
     if not first.satisfiable:
         raise UnsatisfiableError("formula is unsatisfiable; backbone is undefined")

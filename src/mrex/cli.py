@@ -549,9 +549,7 @@ def run_explain_plan(config: RunConfig) -> ExplainPlanResult:
         base = aggregate_names.get(var) or enc_a.name_of(var)
         return ("-" + base) if lit < 0 else base
 
-    kb_h_cnf = enc_h.cnf
     if feas.missing_clauses:
-        kb_h_cnf = kb_h_cnf.extended(feas.missing_clauses)
         for clause, origin in zip(feas.missing_clauses, feas.missing_origins):
             report.record(
                 "clause", role="repair", lits=format_lits(clause),
@@ -561,7 +559,7 @@ def run_explain_plan(config: RunConfig) -> ExplainPlanResult:
         report.text(f"feasibility repair: restored {len(feas.missing_clauses)} "
                     "action-dynamics clause(s) missing from the human model")
     kb_a = enc_a.cnf.extended(oq.definitions)
-    kb_h = kb_h_cnf.extended(oq.definitions)
+    kb_h = enc_h.cnf.extended(feas.missing_clauses + oq.definitions)
     rec_problem = ReconcileProblem(kb_a, kb_h, oq.query, mode=config.mode)
     code, expl, verification, records = _reconcile_stage(
         report, rec_problem, config.timeout, names=name_of

@@ -69,9 +69,15 @@ class CnfFormula:
         drop_tautologies: bool = False,
     ) -> "CnfFormula":
         """Normalize, merge duplicates, and compute the variable envelope."""
-        out: list[Clause] = []
-        index: dict[Clause, int] = {}
-        warnings: list[str] = []
+        return cls()._append(clauses, num_vars, drop_tautologies)
+
+    def _append(
+        self, clauses: Iterable[Iterable[int]], num_vars: int, drop_tautologies: bool
+    ) -> "CnfFormula":
+        """This formula plus the normalised new clauses, duplicates merged."""
+        out = list(self.clauses)
+        index = {c: i for i, c in enumerate(out)}
+        warnings = list(self.warnings)
         max_var = num_vars
         for raw in clauses:
             try:
@@ -81,19 +87,18 @@ class CnfFormula:
                     raise
                 warnings.append(f"tautological clause {tuple(raw)} dropped")
                 continue
-            if not clause:
-                if () not in index:
-                    warnings.append("empty clause present (formula is unsatisfiable)")
             if clause in index:
                 warnings.append(
                     f"clause {clause} at position {len(out)} duplicates id {index[clause]}; merged"
                 )
                 continue
+            if not clause:
+                warnings.append("empty clause present (formula is unsatisfiable)")
             index[clause] = len(out)
             out.append(clause)
             if clause:
                 max_var = max(max_var, abs(clause[-1]))
-        return cls(tuple(out), max_var, tuple(warnings))
+        return type(self)(tuple(out), max_var, tuple(warnings))
 
     def __len__(self) -> int:
         return len(self.clauses)
@@ -105,11 +110,11 @@ class CnfFormula:
         return frozenset(self.clauses)
 
     def extended(self, clauses: Iterable[Iterable[int]]) -> "CnfFormula":
-        """New formula with extra clauses appended; existing ids are unchanged."""
-        merged = CnfFormula.from_clauses(
-            list(self.clauses) + [tuple(c) for c in clauses], self.num_vars
-        )
-        return CnfFormula(merged.clauses, merged.num_vars, self.warnings + merged.warnings)
+        """New formula with extra clauses appended; existing ids are unchanged.
+
+        Only the new clauses are normalised: the existing ones already are.
+        A new clause equal to an existing one merges into it."""
+        return self._append(clauses, self.num_vars, drop_tautologies=False)
 
 
 def parse_dimacs(text: str) -> CnfFormula:

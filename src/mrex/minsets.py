@@ -68,10 +68,11 @@ class MusResult:
 def workspace(num_vars: int, hard: Iterable[Clause], soft: Iterable[Clause] = (), *,
               budget: Budget | None = None) -> SatSession:
     """A session over num_vars problem variables loaded with the hard
-    clauses, then the soft ones.  One workspace can serve many extractions,
-    which is what keeps the main reconciliation loop incremental.  Loading
-    stays out of SatSession.__init__, so a tracer that times construction
-    and every add_hard/add_soft call counts each clause load once."""
+    clauses, then the soft ones; every session mrex opens is made here.
+    One workspace can serve many extractions, which is what keeps the main
+    reconciliation loop incremental.  Loading stays out of
+    SatSession.__init__, so a tracer that times construction and every
+    add_hard/add_soft call counts each clause load once."""
     ws = SatSession(num_vars, budget=budget)
     for c in hard:
         ws.add_hard(c)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..formula import Clause, CnfFormula
-from ..solver import SatSession
+from ..minsets import workspace
 from .model import GroundAction, GroundAtom, Plan, PlanningError, PlanningProblem
 
 
@@ -116,14 +116,14 @@ def encode_bounded(
     clauses: list[Clause] = []
     origins: list[ClauseOrigin] = []
     notes: list[str] = []
-    seen: dict[Clause, int] = {}
+    seen: set[Clause] = set()
 
     def emit(clause: tuple[int, ...], origin: ClauseOrigin) -> None:
         clause = tuple(sorted(set(clause), key=abs))
         if clause in seen:
             notes.append(f"duplicate clause suppressed: {origin.kind}@{origin.t}")
             return
-        seen[clause] = len(clauses)
+        seen.add(clause)
         clauses.append(clause)
         origins.append(origin)
 
@@ -180,13 +180,10 @@ def encode_bounded(
     goal_vars = tuple(
         tuple(fvar(g, t) for g in goal_sorted) for t in range(n + 1)
     )
-    cnf = CnfFormula.from_clauses(clauses, num_vars)
-    if len(cnf.clauses) != len(clauses):  # pragma: no cover - emit() pre-dedupes
-        raise PlanningError("encoding produced duplicate clauses")
     return BoundedEncoding(
         problem=problem,
         horizon=n,
-        cnf=cnf,
+        cnf=CnfFormula(tuple(clauses), num_vars),
         var_map=var_map,
         origins=tuple(origins),
         fluent_order=fluents,
@@ -266,9 +263,7 @@ def check_feasibility(
         raise PlanningError(f"plan length {len(plan)} differs from horizon {n}")
     assumptions = [encoding.var(a.label, t) for t, a in enumerate(plan)]
     assumptions += list(encoding.goal_vars[n])
-    session = SatSession(encoding.cnf.num_vars)
-    for c in encoding.cnf.clauses:
-        session.add_hard(c)
+    session = workspace(encoding.cnf.num_vars, encoding.cnf.clauses)
     feasible = session.solve(assumptions).satisfiable
     if feasible:
         return FeasibilityResult(True)

@@ -316,6 +316,29 @@ class TestExplainPlanCommand:
                         "--query", outdir / "query.txt", "--format", "records")
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("scenario,missing,kb_h_digest", [
+        (1, 0, "0c5c770fbabca6a28e4728370c46162a48ce648b2b758519a515ab1c999abbdc"),
+        (3, 12, "606c0999eba87c989c29ad83b5d3bc3a207c477f42611b26b2528c32ed0d5b02"),
+    ])
+    def test_sussman_knowledge_bases_golden(self, tmp_path, capsys, scenario,
+                                            missing, kb_h_digest):
+        """kb_a.cnf and kb_h.cnf are pinned byte for byte: the clause order
+        and ids of both knowledge bases are part of every explanation.
+        Scenario 3 takes the feasibility repair, so its kb_h gains 12
+        clauses ahead of the goal definitions."""
+        outdir = tmp_path / "run"
+        code, out = run(capsys, "explain-plan", BLOCKS, SUSSMAN, "--scenario",
+                        str(scenario), "--seed", "0", "--format", "records",
+                        "--out", outdir)
+        assert code == EXIT_OK
+        assert f"feasibility feasible={str(not missing).lower()} missing={missing}" in out
+        digest = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+                  for name in ("kb_a.cnf", "kb_h.cnf")}
+        assert digest == {
+            "kb_a.cnf": "49c4fe3c02d15f3e30e7f214a5328c407e0ed36d32c62543eae24b209ec9de70",
+            "kb_h.cnf": kb_h_digest,
+        }
+
     def test_repair_clauses_reported(self, capsys):
         code, out = run(capsys, "explain-plan", CHAIN_DOMAIN, CHAIN_PROBLEM,
                         "--scenario", "8", "--seed", "0", "--format", "records")

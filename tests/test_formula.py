@@ -64,6 +64,40 @@ def test_clause_ids_stable_under_extension():
     assert g.num_vars == 4
 
 
+def test_extended_warns_of_the_empty_clause_once():
+    f = CnfFormula.from_clauses([(), (1,)])
+    g = f.extended([(2,)])
+    assert g.warnings == f.warnings
+    assert sum("empty clause" in w for w in g.warnings) == 1
+
+
+def test_extended_equals_from_clauses_of_the_concatenation():
+    rng = random.Random(16)
+    for _ in range(300):
+        num_vars = rng.randint(1, 6)
+        old = random_cnf(rng, num_vars, rng.randint(0, 8))
+        f = CnfFormula.from_clauses(old, rng.randint(0, 8))
+        def some(clauses, most):
+            return rng.choices(clauses, k=rng.randint(0, most)) if clauses else []
+
+        new = [tuple(rng.sample(c, len(c))) for c in some(old, 3)]  # repeats, unsorted
+        new += random_cnf(rng, num_vars + 2, rng.randint(0, 6))
+        new += [c[::-1] for c in some(new, 3)]  # duplicates among the new
+        new += [c + c[:1] for c in some(new, 2)]  # a repeated literal
+        rng.shuffle(new)
+        if rng.random() < 0.2:
+            v = rng.randint(1, num_vars + 2)
+            new.insert(rng.randint(0, len(new)), (v, rng.randint(1, num_vars), -v))
+            with pytest.raises(TautologyError):
+                f.extended(new)
+            continue
+        g = f.extended(new)
+        want = CnfFormula.from_clauses(f.clauses + tuple(new), f.num_vars)
+        assert g.clauses == want.clauses
+        assert g.num_vars == want.num_vars
+        assert g.clauses[: len(f)] == f.clauses
+
+
 def test_parse_dimacs_basic():
     text = "c a comment\np cnf 4 3\n1 -2 0\n-3\n4 0\n2 0\n"
     f = parse_dimacs(text)

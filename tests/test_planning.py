@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from mrex.cli import RunConfig, run_explain_plan
-from mrex.formula import CnfFormula
+from mrex.formula import CnfFormula, normalize_clause
 from mrex.reconcile import (
     RESTRICTED,
     ReconcileProblem,
@@ -424,6 +424,25 @@ class TestFeasibility:
 @pytest.fixture(scope="module")
 def sussman():
     return ground(parse_pddl(BLOCKS, SUSSMAN))
+
+
+@pytest.mark.parametrize("scenario", [None, *range(1, 9)])
+def test_encoding_clauses_are_normal(sussman, scenario):
+    """encode_bounded builds its formula without normalising it again, so
+    each clause it emits must already be sorted, duplicate-free and in range."""
+    problem = sussman
+    if scenario is not None:
+        problem = tweak_model(sussman, scenario, seed=0, count=2).problem
+    for n in range(8):
+        for include_goal in (False, True):
+            cnf = encode_bounded(
+                problem, n, include_goal,
+                fluent_order=sussman.fluents,
+                action_order=tuple(a.label for a in sussman.actions),
+            ).cnf
+            assert all(normalize_clause(c) == c for c in cnf.clauses)
+            assert len(set(cnf.clauses)) == len(cnf.clauses)
+            assert all(abs(l) <= cnf.num_vars for c in cnf.clauses for l in c)
 
 
 class TestTweaks:
