@@ -23,6 +23,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import random
@@ -601,6 +602,7 @@ COMMANDS = {
 # argument parsing
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mrex",

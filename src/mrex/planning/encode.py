@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..formula import Clause, CnfFormula
-from ..minsets import workspace
 from .model import GroundAction, GroundAtom, Plan, PlanningError, PlanningProblem
+from .search import validate_plan
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ class BoundedEncoding:
     origins: tuple[ClauseOrigin, ...]
     fluent_order: tuple[GroundAtom, ...]
     action_order: tuple[str, ...]
-    goal_vars: tuple[tuple[int, ...], ...]  # per step, the goal fluents' variables
     notes: tuple[str, ...] = ()
 
     def var(self, name: str, t: int) -> int:
@@ -176,10 +175,6 @@ def encode_bounded(
         for g in sorted(problem.goal):
             emit((fvar(g, n),), ClauseOrigin("goal", n, fluent=str(g)))
 
-    goal_sorted = tuple(sorted(problem.goal))
-    goal_vars = tuple(
-        tuple(fvar(g, t) for g in goal_sorted) for t in range(n + 1)
-    )
     return BoundedEncoding(
         problem=problem,
         horizon=n,
@@ -188,7 +183,6 @@ def encode_bounded(
         origins=tuple(origins),
         fluent_order=fluents,
         action_order=act_labels,
-        goal_vars=goal_vars,
         notes=tuple(notes),
     )
 
@@ -251,21 +245,26 @@ def check_feasibility(
     plan: Plan,
     reference: BoundedEncoding,
 ) -> FeasibilityResult:
-    """Can this encoding execute `plan` and end in the goal?
+    """Can the encoded model execute `plan` and end in the goal?
 
-    Solves under assumptions: each plan step's action variable plus the
-    goal fluents at the horizon.  When infeasible, reports the reference
-    encoding's action-dynamics clauses (pre/add/del) for the plan's steps
-    that the checked encoding lacks.
+    Simulates the plan, each step taken by the model's action of the same
+    label, or by a no-op where the model lacks it.  That is the encoding's
+    answer: its at-most-one and frame clauses make an own action's next
+    state (s - del) | add, and with no actions the frame keeps every fluent.
+    For a model lacking some but not all of the plan's actions, the encoding
+    would let any of its actions take such a step; tweak_model builds none.
+    When infeasible, reports the reference encoding's pre/add/del clauses
+    for the plan's steps that the checked encoding lacks.
     """
     n = encoding.horizon
     if len(plan) != n:
         raise PlanningError(f"plan length {len(plan)} differs from horizon {n}")
-    assumptions = [encoding.var(a.label, t) for t, a in enumerate(plan)]
-    assumptions += list(encoding.goal_vars[n])
-    session = workspace(encoding.cnf.num_vars, encoding.cnf.clauses)
-    feasible = session.solve(assumptions).satisfiable
-    if feasible:
+    own = {a.label: a for a in encoding.problem.actions}
+    steps = []
+    for t, a in enumerate(plan):
+        encoding.var(a.label, t)  # a name outside the encoding is an error
+        steps.append(own.get(a.label, GroundAction(a.name, a.args)))
+    if validate_plan(encoding.problem, steps):
         return FeasibilityResult(True)
     have = encoding.cnf.clause_set()
     missing: list[Clause] = []

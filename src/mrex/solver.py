@@ -16,8 +16,9 @@ and assumes the rest after them in ascending order; an answer leaves the
 trail at the level it was found on (van der Tak, Ramos & Heule, "Reusing the
 Assignment Trail in CDCL Solvers", JSAT 2011).  So a caller that grows one
 assumption set, as MCS extraction does, pays one level per new literal, not
-one per literal.  Adding a clause, and reducing the learnt clauses, start
-from level 0.
+one per literal.  One walk over a clause's literals both checks and loads
+it, so a malformed clause raises before the session changes.  Adding a
+clause, and reducing the learnt clauses, start from level 0.
 
 Each decision branches on the unassigned problem variable of largest VSIDS
 activity, the smallest variable among ties.  Selectors are never decided
@@ -164,18 +165,15 @@ class SatSession:
 
     def add_hard(self, clause: Iterable[int]) -> None:
         lits = tuple(clause)
-        self._check_clause(lits)
+        self._load(lits, soft=False)
         self.hard.append(lits)
-        self._add_clause(list(lits))
 
     def add_soft(self, clause: Iterable[int]) -> int:
         """Register clause behind a fresh selector; assuming the selector
         activates the clause.  Returns the selector variable."""
         lits = tuple(clause)
-        self._check_clause(lits)
-        s = self._new_var()
+        s = self._load(lits, soft=True)
         self.soft.append(lits)
-        self._add_clause([-s, *lits])
         return s
 
     def solve_ids(self, ids: Iterable[int]) -> SolveResult:
@@ -203,46 +201,52 @@ class SatSession:
                     break
         return out
 
-    def _check_clause(self, lits: tuple[int, ...]) -> None:
-        seen = set()
+    def _load(self, lits: tuple[int, ...], soft: bool) -> int:
+        """Check lits and add them at level 0, when soft behind a fresh
+        selector s as -s ∨ lits; returns s, or 0 when hard.  Each literal
+        is checked and read at the root, where a variable assigned above
+        level 0 counts as unassigned."""
+        assign = self._assign
+        level = self._level
+        nvars = self.num_vars
+        seen: set[int] = set()
+        out: list[int] = []
+        satisfied = False
         for l in lits:
             if not isinstance(l, int) or l == 0:
                 raise SolverUsageError(f"bad literal {l!r}")
-            if abs(l) > self.num_vars:
+            v = l if l > 0 else -l
+            if v > nvars:
                 raise SolverUsageError(
-                    f"literal {l} is beyond the session's {self.num_vars} variables")
+                    f"literal {l} is beyond the session's {nvars} variables")
             if -l in seen:
                 raise SolverUsageError(f"tautological clause {lits}")
             if l in seen:
                 raise SolverUsageError(f"duplicate literal in clause {lits}")
             seen.add(l)
-
-    def _value(self, lit: int) -> int:
-        v = self._assign[lit if lit > 0 else -lit]
-        return v if lit > 0 else -v
-
-    def _add_clause(self, lits: list[int]) -> None:
+            a = assign[v]
+            if a == 0 or level[v] > 0:
+                out.append(l)
+            elif (a == 1) == (l > 0):
+                satisfied = True  # at the root, forever
+        s = 0
+        if soft:
+            s = self._new_var()
+            out.insert(0, -s)
         if self._trail_lim:
             self._backtrack(0)
-        if not self._ok:
-            return
-        out: list[int] = []
-        for l in lits:
-            v = self._value(l)
-            if v == 1:
-                return  # satisfied at root forever
-            if v == 0:
-                out.append(l)
+        if satisfied or not self._ok:
+            return s
         if not out:
             self._ok = False
-            return
-        if len(out) == 1:
+        elif len(out) == 1:
             self._enqueue(out[0], None)
             if self._propagate() is not None:
                 self._ok = False
-            return
-        self._n_problem_clauses += 1
-        self._attach(out)
+        else:
+            self._n_problem_clauses += 1
+            self._attach(out)
+        return s
 
     def _attach(self, clause: list[int]) -> None:
         a, b = clause[0], clause[1]
@@ -507,18 +511,13 @@ class SatSession:
             while k < depth and assumed[k] in aset:
                 k += 1
         self._backtrack(k)
-        if k:
-            kept = assumed[:k]
-            assumps = kept + sorted(aset.difference(kept))
-        else:
-            assumps = sorted(aset)
-            if self._ok and self._propagate() is not None:
-                self._ok = False
-            if not self._ok:
-                return SolveResult(False, conflict_subset=frozenset())
+        if not self._ok:
+            return SolveResult(False, conflict_subset=frozenset())
         clash = min((a for a in aset if a < 0 and -a in aset), default=0)
         if clash:
             return SolveResult(False, conflict_subset=frozenset((clash, -clash)))
+        kept = assumed[:k]
+        assumps = kept + sorted(aset.difference(kept))
         self._assumed = assumps
 
         if reduce:
@@ -559,19 +558,15 @@ class SatSession:
                 continue
             level = len(trail_lim)
             if level < len(assumps):
-                p = assumps[level]
-                v = p if p > 0 else -p
+                lit = assumps[level]
+                v = lit if lit > 0 else -lit
                 a = assign[v]
-                if a and (a == 1) != (p > 0):
-                    return SolveResult(False, conflict_subset=self._analyze_final(p))
+                if a and (a == 1) != (lit > 0):
+                    return SolveResult(False, conflict_subset=self._analyze_final(lit))
                 self.assumption_levels += 1
-                trail_lim.append(len(trail))
-                if a == 0:  # an unassigned variable's reason is already None
-                    assign[v] = 1 if p > 0 else -1
-                    levels[v] = level + 1
-                    trail.append(p)
-                    if not watches.get(-p) and not bins.get(-p):
-                        self._qhead += 1
+                if a:  # already true: the level stays empty
+                    trail_lim.append(len(trail))
+                    continue
             else:
                 v = self._pick_branch()
                 if v == 0:
@@ -580,13 +575,14 @@ class SatSession:
                         self._audit(model, aset)
                     return SolveResult(True, model=model)
                 self.decisions += 1
-                trail_lim.append(len(trail))
                 lit = v if phase[v] else -v
-                assign[v] = 1 if lit > 0 else -1
-                levels[v] = level + 1
-                trail.append(lit)
-                if not watches.get(-lit) and not bins.get(-lit):
-                    self._qhead += 1
+            # an unassigned variable's reason is already None
+            trail_lim.append(len(trail))
+            assign[v] = 1 if lit > 0 else -1
+            levels[v] = level + 1
+            trail.append(lit)
+            if not watches.get(-lit) and not bins.get(-lit):
+                self._qhead += 1
 
     def _audit(self, model: tuple[bool, ...], assumed: set[int]) -> None:
         def holds(clause: tuple[int, ...]) -> bool:

@@ -6,11 +6,13 @@ independent of the package's CDCL search, linear MCS scans, and deletion MUS
 loops.  Practical only for small variable counts, which is what the
 randomized test families use.
 
-Two exceptions use the package's SAT solver.  brute_force_min_update takes
-the package's consistency repair as given, and above 20 variables it falls
-back to the solver.  verify_by_probing is the verifier's plain reference:
-one solve per support clause, no model rotation.  Both import mrex inside
-the function, so importing this module stays solver-free.
+Three exceptions use the package's SAT solver.  brute_force_min_update
+takes the package's consistency repair as given, and above 20 variables it
+falls back to the solver.  verify_by_probing is the verifier's plain
+reference: one solve per support clause, no model rotation.
+feasible_by_sat decides plan feasibility on the bounded encoding instead of
+simulating the plan.  All three import mrex inside the function, so
+importing this module stays solver-free.
 """
 
 from __future__ import annotations
@@ -218,6 +220,19 @@ def verify_by_probing(kb_h: Iterable[Clause], support: Iterable[Clause], query):
             minimal = False
             failures.append(f"support clause {support[i]} is redundant")
     return VerificationReport(entailed, minimal, consistent, tuple(failures))
+
+
+def feasible_by_sat(encoding, plan) -> bool:
+    """check_feasibility's verdict from the encoding itself: one solve
+    assuming each step's action variable and the goal fluents at the
+    horizon."""
+    from mrex.minsets import workspace
+
+    n = encoding.horizon
+    assumptions = [encoding.var(a.label, t) for t, a in enumerate(plan)]
+    assumptions += [encoding.var(str(g), n) for g in sorted(encoding.problem.goal)]
+    session = workspace(encoding.cnf.num_vars, encoding.cnf.clauses)
+    return session.solve(assumptions).satisfiable
 
 
 def subset_sat_table(

@@ -17,6 +17,7 @@ from mrex.cli import (
     EXIT_VERIFY,
     main,
 )
+from mrex.reconcile import VerificationReport
 
 DATA = Path(__file__).parent / "data"
 BLOCKS = str(DATA / "blocksworld.pddl")
@@ -115,6 +116,25 @@ class TestReconcileCommand:
         assert code == EXIT_TIMEOUT
         assert "error kind=timeout" in out
         assert any(l.startswith("stat iterations=") for l in out.splitlines())
+
+    def test_verify_failure_exits_13(self, worked, capsys, monkeypatch):
+        """A support that fails its check is still reported, followed by an
+        `error kind=verify` record naming the failures, and the run exits 13."""
+        failed = VerificationReport(True, False, True, ("clause 1,2 is redundant",
+                                                        "clause -2,3 is redundant"))
+        monkeypatch.setattr(mrex.cli, "verify_explanation", lambda *args: failed)
+        kb_a, kb_h, query = worked
+        code, out = run(capsys, "reconcile", kb_a, kb_h, "--query", query,
+                        "--format", "records", "--out", kb_a.parent / "expl.records")
+        assert code == EXIT_VERIFY
+        lines = stable(out)
+        assert lines[-2:] == [
+            "verify entailed=true minimal=false consistent=true ok=false",
+            "error kind=verify msg=clause 1,2 is redundant;clause -2,3 is redundant",
+        ]
+        assert "stat support_size=3 update_size=2 removed_size=0" in out
+        written = (kb_a.parent / "expl.records").read_text()
+        assert "verify entailed=true minimal=false" in written
 
     def test_rejects_nonpositive_timeout(self, worked, capsys):
         kb_a, kb_h, query = worked
@@ -453,6 +473,19 @@ class TestEncodePlanCommand:
         assert (tmp_path / "enc.cnf.log").exists()
         map_lines = (tmp_path / "enc.cnf.map").read_text().splitlines()
         assert any(line.endswith("on(a,b)@2") for line in map_lines)
+
+
+def test_parser_is_built_once_and_reused(worked, capsys):
+    """Every main call parses with the same parser; a usage error in one
+    call does not leak into the next."""
+    kb_a, kb_h, query = worked
+    parser = mrex.cli._build_parser()
+    assert run(capsys, "backbone", kb_a, "--k", "-1")[0] == EXIT_USAGE
+    assert run(capsys, "backbone", kb_a, "--mode", "general")[0] == EXIT_USAGE
+    code, out = run(capsys, "reconcile", kb_a, kb_h, "--query", query,
+                    "--format", "records")
+    assert code == EXIT_OK and "run command=reconcile seed=0 mode=general" in out
+    assert mrex.cli._build_parser() is parser
 
 
 def _single_error_line(capsys) -> str:

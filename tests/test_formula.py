@@ -131,6 +131,17 @@ def test_parse_dimacs_errors():
         parse_dimacs(f"p cnf 2 1\n{2**31} 0\n")
 
 
+def test_parse_dimacs_header_checks():
+    with pytest.raises(DimacsParseError, match="duplicate"):
+        parse_dimacs("p cnf 2 1\n1 0\np cnf 2 1\n")
+    for counts in ("-1 1", "2 -1"):
+        with pytest.raises(DimacsParseError, match="negative"):
+            parse_dimacs(f"p cnf {counts}\n")
+    f = parse_dimacs("p cnf 2 3\n1 0\n-2 0\n")
+    assert f.clauses == ((1,), (-2,))
+    assert f.warnings == ("header announced 3 clauses, found 2",)
+
+
 def test_parse_dimacs_num_vars_envelope():
     f = parse_dimacs("p cnf 9 1\n1 0\n")
     assert f.num_vars == 9

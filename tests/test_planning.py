@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,7 @@ from mrex.planning import (
 )
 from mrex.planning.ground import objects_of_type
 
-from oracles import brute_force_min_update
+from oracles import brute_force_min_update, feasible_by_sat
 
 DATA = Path(__file__).parent / "data"
 BLOCKS = (DATA / "blocksworld.pddl").read_text()
@@ -419,6 +420,50 @@ class TestFeasibility:
         ghost = GroundAction("fly", ("a",))
         with pytest.raises(PlanningError, match="unknown name"):
             check_feasibility(enc, (ghost,), reference=enc)
+
+
+def _same_length_plans(problem, plan, rng, count):
+    """The plan, its reverse, and `count` random sequences of the
+    problem's actions of the same length."""
+    yield plan
+    yield plan[::-1]
+    for _ in range(count):
+        yield tuple(rng.choice(problem.actions) for _ in plan)
+
+
+@pytest.mark.parametrize("domain, task", [
+    (BLOCKS, SUSSMAN), (CHAIN_DOMAIN, CHAIN_PROBLEM), (BLOCKS, TWO_BLOCKS),
+], ids=["sussman", "chain", "two-blocks"])
+def test_simulated_feasibility_matches_the_sat_check(domain, task):
+    """Simulating the plan gives the bounded encoding's verdict, and with it
+    the same repair clauses, for every scenario's model."""
+    problem = ground(parse_pddl(domain, task))
+    plan = optimal_plan_search(problem)
+    enc_a = encode_bounded(problem, len(plan), include_goal=False)
+    rng = random.Random(len(plan))
+    verdicts = set()
+    for scenario in range(1, 9):
+        for seed in range(3):
+            for count in (1, 2, 3) if scenario in (4, 6) else (1,):
+                tweaked = tweak_model(problem, scenario, seed, count=count).problem
+                enc_h = encode_bounded(
+                    tweaked, len(plan), include_goal=False,
+                    fluent_order=enc_a.fluent_order, action_order=enc_a.action_order,
+                )
+                have = enc_h.cnf.clause_set()
+                for steps in _same_length_plans(problem, plan, rng, 3):
+                    res = check_feasibility(enc_h, steps, reference=enc_a)
+                    feasible = feasible_by_sat(enc_h, steps)
+                    verdicts.add(feasible)
+                    missing = () if feasible else tuple(
+                        clause
+                        for t, a in enumerate(steps)
+                        for clause, o in zip(enc_a.cnf.clauses, enc_a.origins)
+                        if o.kind in ("pre", "add", "del") and o.t == t
+                        and o.action == a.label and clause not in have
+                    )
+                    assert (res.feasible, res.missing_clauses) == (feasible, missing)
+    assert verdicts == {True, False}
 
 
 @pytest.fixture(scope="module")

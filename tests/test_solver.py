@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import types
 
@@ -59,6 +60,25 @@ def test_malformed_clauses_raise():
 def test_literal_beyond_num_vars_raises():
     with pytest.raises(SolverUsageError, match="beyond"):
         SatSession(2).add_hard((1, 7))
+
+
+def test_a_rejected_clause_leaves_the_session_unchanged():
+    """A clause that fails the literal checks raises before the session
+    changes: no selector, no soft clause, and the trail keeps the last
+    solve's assumption levels, so the same solve opens none."""
+    s = SatSession(4)
+    s.add_hard((1, 2, 3))
+    sel = s.add_soft((-1, 4))
+    assert s.solve([sel, 2, -3]).satisfiable
+    levels = s.assumption_levels
+    for add in (s.add_hard, s.add_soft):
+        for clause in ((1, -1), (0,), (2, 2), (3, 5), (1, "2")):
+            with pytest.raises(SolverUsageError):
+                add(clause)
+    assert (len(s.hard), len(s.soft), s._nvars) == (1, 1, 5)
+    assert s.solve([sel, 2, -3]).satisfiable
+    assert s.assumption_levels == levels
+    assert s.add_soft((4,)) == sel + 1
 
 
 def test_assumptions_do_not_persist():
@@ -270,6 +290,73 @@ def test_deadline_passing_mid_solve_stops_the_solve(monkeypatch):
     res = s.solve_ids(())  # audited: tests run with check_models on
     assert res.satisfiable and budget.calls == 1
     assert all(any(res.value(l) for l in c) for c in s.hard)
+
+
+class _StopAtRootUnit:
+    """A budget whose check stops the solve right after it learns a unit
+    clause: back at level 0 with that unit not yet propagated."""
+
+    session: SatSession
+
+    def check(self):
+        s = self.session
+        if not s._trail_lim and s._qhead < len(s._trail):
+            raise _OutOfTime
+
+
+def test_solves_after_a_stop_at_a_learnt_root_unit_stay_sound(monkeypatch):
+    """The unit a stopped solve learnt is still pending at the root; the
+    next solves, with and without assumptions, agree with the truth
+    table."""
+    monkeypatch.setattr(solver, "_POLL_CONFLICTS", 1)
+    rng = random.Random(5)
+    stops = unsat = 0
+    for _ in range(40):
+        n = 12
+        clauses = [random_clause(rng, n, 3) for _ in range(rng.randint(45, 60))]
+        budget = _StopAtRootUnit()
+        s = SatSession(n, budget=budget)
+        budget.session = s
+        for c in clauses:
+            s.add_hard(c)
+        try:
+            s.solve()
+        except _OutOfTime:
+            stops += 1
+        else:
+            continue
+        s.budget = None
+        sat = tt_satisfiable(clauses, n)
+        unsat += not sat
+        assert s.solve().satisfiable == sat
+        for _ in range(5):
+            lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+            want = tt_satisfiable(clauses + [(l,) for l in lits], n)
+            assert s.solve(lits).satisfiable == want
+    assert stops >= 10 and 0 < unsat < stops
+
+
+def test_learnts_are_reduced_at_a_restart(monkeypatch):
+    """A solve that passes the learnt limit reduces at its next restart,
+    at level 0, and still proves 7 pigeons do not fit in 6 holes."""
+    monkeypatch.setattr(solver, "_MIN_LEARNTS", 0)  # the limit is 2 * 133
+    s = SatSession(42)
+    for p in range(7):
+        s.add_hard(tuple(p * 6 + h + 1 for h in range(6)))
+    for h in range(6):
+        for p1, p2 in itertools.combinations(range(7), 2):
+            s.add_hard((-(p1 * 6 + h + 1), -(p2 * 6 + h + 1)))
+    reductions = []
+    reduce_db = s._reduce_db
+
+    def spy():
+        reductions.append((len(s._trail_lim), len(s._learnts)))
+        reduce_db()
+
+    s._reduce_db = spy
+    assert not s.solve().satisfiable
+    assert s.conflicts > 512
+    assert reductions and all(level == 0 and n > 2 * 133 for level, n in reductions)
 
 
 def test_learnt_clauses_stay_bounded_without_restarts(monkeypatch):
