@@ -225,6 +225,9 @@ def _parse_cnf(path: str, report: Report, label: str) -> CnfFormula:
     report.record(
         "kb", name=label, vars=formula.num_vars, clauses=len(formula.clauses)
     )
+    for msg in formula.warnings:
+        report.record("warn", kb=label, msg=msg)
+        report.text(f"warning: {label}: {msg}")
     return formula
 
 

@@ -11,12 +11,16 @@ fluent_order/action_order, which is how an agent's knowledge base and a
 degraded user model stay comparable clause-for-clause: an action or fluent
 missing from the weaker model keeps its variable but contributes no
 clauses.
+
+The encoder keeps no per-clause origins.  One helper, _step_clauses, writes
+an action step's pre/add/del clauses; encode_bounded emits through it, and
+check_feasibility derives its repair clauses from the plan's steps with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from ..formula import Clause, CnfFormula
 from .model import GroundAction, GroundAtom, Plan, PlanningError, PlanningProblem
@@ -25,12 +29,12 @@ from .search import validate_plan
 
 @dataclass(frozen=True)
 class ClauseOrigin:
-    """Why a clause exists: kind, step, and the action/fluent it concerns."""
+    """Where a repair clause comes from: its kind (pre|add|del), the plan
+    step and the action taken there."""
 
-    kind: str  # init|goal|pre|add|del|frame_on|frame_off|alo|amo|goal_def
+    kind: str
     t: int
-    action: str | None = None
-    fluent: str | None = None
+    action: str
 
 
 @dataclass
@@ -39,7 +43,7 @@ class BoundedEncoding:
     horizon: int
     cnf: CnfFormula
     var_map: dict[str, int]
-    origins: tuple[ClauseOrigin, ...]
+    names: tuple[str, ...]  # `<name>@<t>` of variable v at names[v - 1]
     fluent_order: tuple[GroundAtom, ...]
     action_order: tuple[str, ...]
     notes: tuple[str, ...] = ()
@@ -51,11 +55,27 @@ class BoundedEncoding:
             raise PlanningError(f"unknown name {name!r} at step {t}") from None
 
     def name_of(self, var: int) -> str:
-        rev = getattr(self, "_rev", None)
-        if rev is None:
-            rev = {v: k for k, v in self.var_map.items()}
-            self._rev = rev
-        return rev.get(var, f"aux{var}")
+        return self.names[var - 1] if 0 < var <= len(self.names) else f"aux{var}"
+
+
+def _normal(clause: Sequence[int]) -> Clause:
+    return tuple(sorted(set(clause), key=abs))
+
+
+def _step_clauses(
+    action: GroundAction,
+    t: int,
+    fvar: Callable[[GroundAtom, int], int],
+    avar: Callable[[str, int], int],
+) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(kind, clause) for the action's pre, add and del clauses at step t."""
+    av = avar(action.label, t)
+    for p in sorted(action.pre):
+        yield "pre", (-av, fvar(p, t))
+    for e in sorted(action.add):
+        yield "add", (-av, fvar(e, t + 1))
+    for e in sorted(action.delete):
+        yield "del", (-av, -fvar(e, t + 1))
 
 
 def encode_bounded(
@@ -95,13 +115,8 @@ def encode_bounded(
     def avar(label: str, t: int) -> int:
         return (n + 1) * nf + t * na + act_index[label] + 1
 
-    var_map: dict[str, int] = {}
-    for t in range(n + 1):
-        for f in fluents:
-            var_map[f"{f}@{t}"] = fvar(f, t)
-    for t in range(n):
-        for lbl in act_labels:
-            var_map[f"{lbl}@{t}"] = avar(lbl, t)
+    names = [f"{f}@{t}" for t in range(n + 1) for f in fluents]
+    names += [f"{lbl}@{t}" for t in range(n) for lbl in act_labels]
 
     own_actions = problem.actions  # already canonically sorted
     adders: dict[GroundAtom, list[GroundAction]] = {f: [] for f in fluents}
@@ -112,75 +127,51 @@ def encode_bounded(
         for f in sorted(a.delete):
             deleters[f].append(a)
 
-    clauses: list[Clause] = []
-    origins: list[ClauseOrigin] = []
+    clauses: dict[Clause, None] = {}  # insertion-ordered set
     notes: list[str] = []
-    seen: set[Clause] = set()
 
-    def emit(clause: tuple[int, ...], origin: ClauseOrigin) -> None:
-        clause = tuple(sorted(set(clause), key=abs))
-        if clause in seen:
-            notes.append(f"duplicate clause suppressed: {origin.kind}@{origin.t}")
-            return
-        seen.add(clause)
-        clauses.append(clause)
-        origins.append(origin)
+    def emit(clause: tuple[int, ...], kind: str, t: int) -> None:
+        clause = _normal(clause)
+        if clause in clauses:
+            notes.append(f"duplicate clause suppressed: {kind}@{t}")
+        else:
+            clauses[clause] = None
 
     own_fluents = set(problem.fluents)
     for f in fluents:
         if f in own_fluents:
-            lit = fvar(f, 0) if f in problem.init else -fvar(f, 0)
-            emit((lit,), ClauseOrigin("init", 0, fluent=str(f)))
+            emit((fvar(f, 0) if f in problem.init else -fvar(f, 0),), "init", 0)
 
     for t in range(n):
         for a in own_actions:
-            av = avar(a.label, t)
-            for p in sorted(a.pre):
-                emit((-av, fvar(p, t)), ClauseOrigin("pre", t, a.label, str(p)))
-            for e in sorted(a.add):
-                emit((-av, fvar(e, t + 1)), ClauseOrigin("add", t, a.label, str(e)))
-            for e in sorted(a.delete):
-                emit((-av, -fvar(e, t + 1)), ClauseOrigin("del", t, a.label, str(e)))
+            for kind, clause in _step_clauses(a, t, fvar, avar):
+                emit(clause, kind, t)
         for f in fluents:
             if f not in own_fluents:
                 continue
             causes_on = tuple(avar(a.label, t) for a in adders[f])
-            emit(
-                (fvar(f, t), -fvar(f, t + 1)) + causes_on,
-                ClauseOrigin("frame_on", t, fluent=str(f)),
-            )
+            emit((fvar(f, t), -fvar(f, t + 1)) + causes_on, "frame_on", t)
             causes_off = tuple(avar(a.label, t) for a in deleters[f])
-            emit(
-                (-fvar(f, t), fvar(f, t + 1)) + causes_off,
-                ClauseOrigin("frame_off", t, fluent=str(f)),
-            )
+            emit((-fvar(f, t), fvar(f, t + 1)) + causes_off, "frame_off", t)
         if own_actions:
-            emit(
-                tuple(avar(a.label, t) for a in own_actions),
-                ClauseOrigin("alo", t),
-            )
+            emit(tuple(avar(a.label, t) for a in own_actions), "alo", t)
         else:
             notes.append(f"at-least-one omitted at step {t}: no actions")
         for i in range(len(own_actions)):
             for j in range(i + 1, len(own_actions)):
-                emit(
-                    (-avar(own_actions[i].label, t), -avar(own_actions[j].label, t)),
-                    ClauseOrigin(
-                        "amo", t,
-                        action=f"{own_actions[i].label}|{own_actions[j].label}",
-                    ),
-                )
+                emit((-avar(own_actions[i].label, t),
+                      -avar(own_actions[j].label, t)), "amo", t)
 
     if include_goal:
         for g in sorted(problem.goal):
-            emit((fvar(g, n),), ClauseOrigin("goal", n, fluent=str(g)))
+            emit((fvar(g, n),), "goal", n)
 
     return BoundedEncoding(
         problem=problem,
         horizon=n,
         cnf=CnfFormula(tuple(clauses), num_vars),
-        var_map=var_map,
-        origins=tuple(origins),
+        var_map={name: v for v, name in enumerate(names, 1)},
+        names=tuple(names),
         fluent_order=fluents,
         action_order=act_labels,
         notes=tuple(notes),
@@ -253,8 +244,9 @@ def check_feasibility(
     state (s - del) | add, and with no actions the frame keeps every fluent.
     For a model lacking some but not all of the plan's actions, the encoding
     would let any of its actions take such a step; tweak_model builds none.
-    When infeasible, reports the reference encoding's pre/add/del clauses
-    for the plan's steps that the checked encoding lacks.
+    When infeasible, reports the pre/add/del clauses that the reference
+    problem's action of each step's label has at that step, in the
+    reference's variables, and that the checked encoding lacks.
     """
     n = encoding.horizon
     if len(plan) != n:
@@ -267,18 +259,22 @@ def check_feasibility(
     if validate_plan(encoding.problem, steps):
         return FeasibilityResult(True)
     have = encoding.cnf.clause_set()
+    by_label = {a.label: a for a in reference.problem.actions}
+
+    def fvar(atom: GroundAtom, t: int) -> int:
+        return reference.var(str(atom), t)
+
     missing: list[Clause] = []
     origins: list[ClauseOrigin] = []
     for t, a in enumerate(plan):
-        for clause, origin in zip(reference.cnf.clauses, reference.origins):
-            if (
-                origin.kind in ("pre", "add", "del")
-                and origin.t == t
-                and origin.action == a.label
-                and clause not in have
-            ):
+        action = by_label.get(a.label)
+        if action is None:
+            continue
+        for kind, clause in _step_clauses(action, t, fvar, reference.var):
+            clause = _normal(clause)
+            if clause not in have:
                 missing.append(clause)
-                origins.append(origin)
+                origins.append(ClauseOrigin(kind, t, a.label))
     return FeasibilityResult(False, tuple(missing), tuple(origins))
 
 
@@ -301,6 +297,4 @@ def decode_model(encoding: BoundedEncoding, model: Sequence[bool]) -> Plan:
 
 def write_var_map(encoding: BoundedEncoding) -> str:
     """Sidecar text: `<variable> <name>@<t>` per line, variable-sorted."""
-    lines = [f"{v} {name}" for name, v in encoding.var_map.items()]
-    lines.sort(key=lambda s: int(s.split()[0]))
-    return "\n".join(lines) + "\n"
+    return "\n".join(f"{v} {name}" for v, name in enumerate(encoding.names, 1)) + "\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 
@@ -34,7 +35,7 @@ class GroundAtom:
             head, _, rest = text.partition("(")
             if not rest.endswith(")"):
                 raise PlanningError(f"malformed atom {text!r}")
-            args = tuple(a for a in rest[:-1].split(",") if a)
+            args = tuple(a for a in map(str.strip, rest[:-1].split(",")) if a)
             return cls(head, args)
         return cls(text)
 
@@ -57,11 +58,9 @@ class GroundAction:
         if self.add & self.delete:
             object.__setattr__(self, "delete", self.delete - self.add)
 
-    @property
+    @cached_property  # set once per action; eq, hash and order use the fields
     def label(self) -> str:
-        if not self.args:
-            return self.name
-        return f"{self.name}({','.join(self.args)})"
+        return str(GroundAtom(self.name, self.args))
 
     def __str__(self) -> str:
         return self.label
@@ -127,15 +126,14 @@ Plan = tuple[GroundAction, ...]
 
 
 def parse_plan_text(text: str, problem: PlanningProblem) -> Plan:
-    """One action per line, as either `(stack a b)` or `stack(a,b)`."""
+    """One action per line, `(stack a b)` or `stack(a, b)`, in any case."""
     by_label: Mapping[str, GroundAction] = {a.label: a for a in problem.actions}
     steps: list[GroundAction] = []
     for raw in text.splitlines():
         line = raw.split(";")[0].strip()
         if not line:
             continue
-        atom = GroundAtom.parse(line)
-        label = GroundAtom(atom.predicate, atom.args).__str__()
+        label = str(GroundAtom.parse(line.lower()))
         if label not in by_label:
             raise PlanningError(f"plan references unknown action {label!r}")
         steps.append(by_label[label])

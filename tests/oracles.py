@@ -235,6 +235,20 @@ def feasible_by_sat(encoding, plan) -> bool:
     return session.solve(assumptions).satisfiable
 
 
+def plan_dynamics_clauses(encoding, plan) -> list[Clause]:
+    """Each plan step's pre, add and del clauses, in that order and each
+    sorted by atom, under the encoding's variables: built from the step
+    action's atom sets and `encoding.var` alone."""
+    out: list[Clause] = []
+    for t, a in enumerate(plan):
+        act = encoding.var(a.label, t)
+        lits = [encoding.var(str(p), t) for p in sorted(a.pre)]
+        lits += [encoding.var(str(e), t + 1) for e in sorted(a.add)]
+        lits += [-encoding.var(str(e), t + 1) for e in sorted(a.delete)]
+        out += [tuple(sorted((-act, lit), key=abs)) for lit in lits]
+    return out
+
+
 def subset_sat_table(
     soft: Sequence[Clause], hard: Sequence[Clause], num_vars: int
 ) -> list[bool]:

@@ -27,6 +27,16 @@ CHAIN_DOMAIN = str(DATA / "chain-domain.pddl")
 CHAIN_PROBLEM = str(DATA / "chain-problem.pddl")
 TRIVIAL = str(DATA / "trivial.pddl")
 
+# sha256 of each Sussman scenario's `clause role=repair` lines (seed 0), each
+# line ending in a newline, as `grep '^clause role=repair' | sha256sum` reads.
+REPAIR_SHA256 = {
+    1: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    2: "3809a1f8e40be3f4be75d4553595475dc3d3893b9d9c664b900ab6574a04b7c6",
+    3: "0ef9e06856f22ce5fa2d3187cab88348bf526296f997511fc9a4b5154f2410f6",
+    7: "a10cff23157f475e90db256f15a3f7107a63000ca048fc843fe121946b1d86a7",
+    8: "2a294ff7c829ddf8db6e9fcf47eb727fa291b35b0bb5d93b3400bfeb646e37e4",
+}
+
 KB_A_TEXT = "p cnf 5 5\n1 2 0\n-2 3 0\n-3 0\n-2 4 0\n-4 0\n"
 KB_H_TEXT = "p cnf 5 2\n-3 0\n5 0\n"
 
@@ -258,6 +268,25 @@ class TestBackboneCommand:
         assert code == EXIT_PREMISE
         assert "no backbone query derivable" in out
 
+    def test_parse_warnings_reported(self, worked, tmp_path, capsys):
+        """A merged duplicate, a dropped tautology and a wrong header count
+        each give a warn record and a text line; a clean input gives none."""
+        kb = tmp_path / "kb.cnf"
+        kb.write_text("p cnf 3 5\n1 2 0\n1 2 0\n1 -1 3 0\n-3 0\n")
+        code, out = run(capsys, "backbone", kb, "--format", "records")
+        assert code == EXIT_OK
+        assert [l for l in out.splitlines() if l.startswith("warn ")] == [
+            "warn kb=kb msg=clause (1, 2) at position 1 duplicates id 0; merged",
+            "warn kb=kb msg=tautological clause (1, -1, 3) dropped",
+            "warn kb=kb msg=header announced 5 clauses, found 4",
+        ]
+        code, out = run(capsys, "backbone", kb)
+        assert code == EXIT_OK
+        assert "warning: kb: header announced 5 clauses, found 4" in out.splitlines()
+        code, out = run(capsys, "backbone", worked[0], "--format", "records")
+        assert code == EXIT_OK
+        assert not [l for l in out.splitlines() if l.startswith("warn ")]
+
 
 class TestTweakCnfCommand:
     def _kb(self, tmp_path) -> Path:
@@ -338,14 +367,20 @@ class TestExplainPlanCommand:
 
     @pytest.mark.parametrize("scenario,missing,kb_h_digest", [
         (1, 0, "0c5c770fbabca6a28e4728370c46162a48ce648b2b758519a515ab1c999abbdc"),
+        (2, 6, "768e042c5437fda9cf74d70bd09a893cada0271f186993e8a4667c0280dd3538"),
         (3, 12, "606c0999eba87c989c29ad83b5d3bc3a207c477f42611b26b2528c32ed0d5b02"),
+        (7, 27, "a67325aacd3b945cb445879c5868edcf718110419e59280714484e5cf6196a2b"),
+        (8, 41, "3e00a0ba5d105daffc42b22ec8887568937516f0781395dce18aaac68c1cfd5d"),
     ])
     def test_sussman_knowledge_bases_golden(self, tmp_path, capsys, scenario,
                                             missing, kb_h_digest):
-        """kb_a.cnf and kb_h.cnf are pinned byte for byte: the clause order
-        and ids of both knowledge bases are part of every explanation.
-        Scenario 3 takes the feasibility repair, so its kb_h gains 12
-        clauses ahead of the goal definitions."""
+        """kb_a.cnf, kb_h.cnf and kb_a.cnf.map are pinned byte for byte: the
+        clause order and ids of both knowledge bases are part of every
+        explanation.  Scenarios 2, 3, 7 and 8 take the feasibility repair, so
+        their kb_h gains the repair clauses ahead of the goal definitions;
+        the `clause role=repair` lines are pinned too, as they carry each
+        repair clause's kind, step, action and order.  Scenario 8's model has
+        no actions, so no step gets an at-least-one clause."""
         outdir = tmp_path / "run"
         code, out = run(capsys, "explain-plan", BLOCKS, SUSSMAN, "--scenario",
                         str(scenario), "--seed", "0", "--format", "records",
@@ -353,11 +388,21 @@ class TestExplainPlanCommand:
         assert code == EXIT_OK
         assert f"feasibility feasible={str(not missing).lower()} missing={missing}" in out
         digest = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
-                  for name in ("kb_a.cnf", "kb_h.cnf")}
+                  for name in ("kb_a.cnf", "kb_h.cnf", "kb_a.cnf.map")}
         assert digest == {
             "kb_a.cnf": "49c4fe3c02d15f3e30e7f214a5328c407e0ed36d32c62543eae24b209ec9de70",
             "kb_h.cnf": kb_h_digest,
+            "kb_a.cnf.map": "130306e1814e3ecc56a6956f52a21691b3d437128db1c02b40a8dfc420d93abc",
         }
+        repair = [l for l in out.splitlines() if l.startswith("clause role=repair ")]
+        assert len(repair) == missing
+        lines = "".join(l + "\n" for l in repair).encode()
+        assert hashlib.sha256(lines).hexdigest() == REPAIR_SHA256[scenario]
+        notes = [l for l in out.splitlines() if l.startswith("note ")]
+        assert notes == [
+            f"note kb=human msg=at-least-one omitted at step {t}: no actions"
+            for t in range(6 if scenario == 8 else 0)
+        ]
 
     def test_repair_clauses_reported(self, capsys):
         code, out = run(capsys, "explain-plan", CHAIN_DOMAIN, CHAIN_PROBLEM,

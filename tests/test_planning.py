@@ -40,7 +40,9 @@ from mrex.planning import (
 )
 from mrex.planning.ground import objects_of_type
 
-from oracles import brute_force_min_update, feasible_by_sat
+from oracles import (
+    brute_force_min_update, feasible_by_sat, plan_dynamics_clauses,
+)
 
 DATA = Path(__file__).parent / "data"
 BLOCKS = (DATA / "blocksworld.pddl").read_text()
@@ -242,6 +244,32 @@ class TestSearch:
         with pytest.raises(PlanningError, match="unknown action"):
             parse_plan_text("(fly a b)", problem)
 
+    def test_plan_text_spellings(self):
+        """Names are case-blind and arguments may carry spaces, as the PDDL
+        reader lowercases every name."""
+        problem = ground(parse_pddl(BLOCKS, SUSSMAN))
+        plan = optimal_plan_search(problem)
+        assert plan[0].label == "unstack(c,a)"
+        spellings = [
+            write_plan_text(plan),
+            "".join(f"{a.name}({', '.join(a.args)})\n" for a in plan),
+            write_plan_text(plan).upper(),
+        ]
+        assert spellings[1].startswith("unstack(c, a)\n")
+        assert spellings[2].startswith("(UNSTACK C A)\n")
+        for text in spellings:
+            assert parse_plan_text(text, problem) == plan
+        for text in ("(FLY A B)", "unstack(c, z)"):
+            with pytest.raises(PlanningError, match="unknown action"):
+                parse_plan_text(text, problem)
+
+    def test_cached_label_leaves_identity_to_the_fields(self):
+        a = GroundAction("stack", ("a", "b"))
+        assert a.label == "stack(a,b)" and a.label is a.label
+        b = GroundAction("stack", ("a", "b"))  # its label not computed yet
+        assert a == b and hash(a) == hash(b) and not a < b and not b < a
+        assert GroundAction("noop").label == "noop"
+
 
 def _brute_plan_exists(problem: PlanningProblem, n: int) -> bool:
     """Is there a length-n action sequence that executes and reaches the goal?"""
@@ -408,6 +436,25 @@ class TestFeasibility:
         assert len(res.missing_clauses) == sum(per_step) == 14
         assert all(o.kind in ("pre", "add", "del") for o in res.missing_origins)
 
+    def test_repair_comes_from_the_reference_actions(self):
+        """The repair holds the reference problem's clauses for each step's
+        label, whatever atom sets the plan's action carries; a label the
+        reference problem lacks contributes none."""
+        problem = ground(parse_pddl(BLOCKS, TWO_BLOCKS))
+        plan = optimal_plan_search(problem)
+        enc_a = encode_bounded(problem, 2, include_goal=False)
+        empty = tweak_model(problem, 8, seed=0, count=2)
+        enc_h = encode_bounded(
+            empty.problem, 2, include_goal=False,
+            fluent_order=enc_a.fluent_order, action_order=enc_a.action_order,
+        )
+        bare = tuple(GroundAction(a.name, a.args) for a in plan)
+        res = check_feasibility(enc_h, bare, reference=enc_a)
+        assert res == check_feasibility(enc_h, plan, reference=enc_a)
+        assert len(res.missing_clauses) == 14
+        res = check_feasibility(enc_h, plan, reference=enc_h)
+        assert (res.feasible, res.missing_clauses) == (False, ())
+
     def test_wrong_plan_length_rejected(self):
         problem = ground(parse_pddl(BLOCKS, TWO_BLOCKS))
         enc = encode_bounded(problem, 2, include_goal=False)
@@ -456,11 +503,8 @@ def test_simulated_feasibility_matches_the_sat_check(domain, task):
                     feasible = feasible_by_sat(enc_h, steps)
                     verdicts.add(feasible)
                     missing = () if feasible else tuple(
-                        clause
-                        for t, a in enumerate(steps)
-                        for clause, o in zip(enc_a.cnf.clauses, enc_a.origins)
-                        if o.kind in ("pre", "add", "del") and o.t == t
-                        and o.action == a.label and clause not in have
+                        clause for clause in plan_dynamics_clauses(enc_a, steps)
+                        if clause not in have
                     )
                     assert (res.feasible, res.missing_clauses) == (feasible, missing)
     assert verdicts == {True, False}
