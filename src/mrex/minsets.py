@@ -91,22 +91,35 @@ def extract_mcs(
 
     Linear search: grow a satisfiable subset from the seed in ascending
     position order, admitting for free every clause the current model already
-    satisfies; the complement of the final subset is the MCS.
+    satisfies; the complement of the final subset is the MCS.  Each probe
+    lists the kept clauses in the order they joined and the probe last:
+    SatSession.solve places assumptions in the caller's order, so a refuted
+    probe leaves the kept clauses' levels up to its backjump on the trail
+    for the next probe.  The last untested probe goes in ascending position
+    among the kept clauses instead, as no later probe would reuse levels
+    placed ahead of it.
     """
-    kept = set(seed)
-    res = first_result if first_result is not None else ws.solve_ids(kept)
+    order = sorted(seed)
+    kept = set(order)
+    res = first_result if first_result is not None else ws.solve_ids(order)
     if not res.satisfiable:
         raise SeedInconsistentError("seed clauses conflict with the hard clauses")
-    kept.update(ws.satisfied_ids(res.model, kept))
+    admitted = ws.satisfied_ids(res.model, kept)
+    order += admitted
+    kept.update(admitted)
+    untested = len(ws.soft) - len(kept)
     for i in range(len(ws.soft)):
         if i in kept:
             continue
-        kept.add(i)
-        r = ws.solve_ids(kept)
+        untested -= 1
+        probe = order + [i]
+        r = ws.solve_ids(probe if untested else sorted(probe))
         if r.satisfiable:
-            kept.update(ws.satisfied_ids(r.model, kept))
-        else:
-            kept.discard(i)
+            kept.add(i)
+            admitted = ws.satisfied_ids(r.model, kept)
+            order = probe + admitted
+            kept.update(admitted)
+            untested -= len(admitted)
     mcs = frozenset(range(len(ws.soft))) - kept
     if not mcs:
         raise NothingToCorrectError("hard and soft clauses are jointly satisfiable")
@@ -118,9 +131,9 @@ def extract_mcs(
 def _audit_mcs(ws: SatSession, mcs: frozenset[int], seed: set[int]) -> None:
     assert not mcs & seed, "correction set overlaps the seed"
     complement = set(range(len(ws.soft))) - mcs
-    assert ws.solve_ids(complement).satisfiable, "complement of MCS is not satisfiable"
+    assert ws.solve_ids(sorted(complement)).satisfiable, "complement of MCS is not satisfiable"
     for i in sorted(mcs):
-        assert not ws.solve_ids(complement | {i}).satisfiable, (
+        assert not ws.solve_ids(sorted(complement | {i})).satisfiable, (
             f"MCS not minimal: restoring clause {i} keeps the set satisfiable"
         )
 
@@ -226,7 +239,7 @@ def extract_mus(ws: SatSession) -> MusResult:
     for i in range(len(core)):
         if i not in current or i in necessary:
             continue
-        r = sub.solve_ids(current - {i})
+        r = sub.solve_ids(sorted(current - {i}))
         if r.satisfiable:
             rotation.mark(r.model, i, current, necessary)
         else:
@@ -238,8 +251,8 @@ def extract_mus(ws: SatSession) -> MusResult:
 
 
 def _audit_mus(ws: SatSession, mus: frozenset[int]) -> None:
-    assert not ws.solve_ids(mus).satisfiable, "MUS is not unsatisfiable"
+    assert not ws.solve_ids(sorted(mus)).satisfiable, "MUS is not unsatisfiable"
     for i in sorted(mus):
-        assert ws.solve_ids(mus - {i}).satisfiable, (
+        assert ws.solve_ids(sorted(mus - {i})).satisfiable, (
             f"MUS not minimal: clause {i} is removable"
         )

@@ -42,20 +42,30 @@ class BoundedEncoding:
     problem: PlanningProblem
     horizon: int
     cnf: CnfFormula
-    var_map: dict[str, int]
+    # `<name>@<t>` -> variable, apart for fluents and actions: a 0-ary
+    # predicate and a 0-ary action may share a name
+    fluent_vars: dict[str, int]
+    action_vars: dict[str, int]
     names: tuple[str, ...]  # `<name>@<t>` of variable v at names[v - 1]
     fluent_order: tuple[GroundAtom, ...]
     action_order: tuple[str, ...]
     notes: tuple[str, ...] = ()
 
-    def var(self, name: str, t: int) -> int:
-        try:
-            return self.var_map[f"{name}@{t}"]
-        except KeyError:
-            raise PlanningError(f"unknown name {name!r} at step {t}") from None
+    def fluent_var(self, name: str, t: int) -> int:
+        return _lookup(self.fluent_vars, name, t)
+
+    def action_var(self, label: str, t: int) -> int:
+        return _lookup(self.action_vars, label, t)
 
     def name_of(self, var: int) -> str:
         return self.names[var - 1] if 0 < var <= len(self.names) else f"aux{var}"
+
+
+def _lookup(table: dict[str, int], name: str, t: int) -> int:
+    try:
+        return table[f"{name}@{t}"]
+    except KeyError:
+        raise PlanningError(f"unknown name {name!r} at step {t}") from None
 
 
 def _normal(clause: Sequence[int]) -> Clause:
@@ -115,8 +125,8 @@ def encode_bounded(
     def avar(label: str, t: int) -> int:
         return (n + 1) * nf + t * na + act_index[label] + 1
 
-    names = [f"{f}@{t}" for t in range(n + 1) for f in fluents]
-    names += [f"{lbl}@{t}" for t in range(n) for lbl in act_labels]
+    fl_names = [f"{f}@{t}" for t in range(n + 1) for f in fluents]
+    act_names = [f"{lbl}@{t}" for t in range(n) for lbl in act_labels]
 
     own_actions = problem.actions  # already canonically sorted
     adders: dict[GroundAtom, list[GroundAction]] = {f: [] for f in fluents}
@@ -170,8 +180,9 @@ def encode_bounded(
         problem=problem,
         horizon=n,
         cnf=CnfFormula(tuple(clauses), num_vars),
-        var_map={name: v for v, name in enumerate(names, 1)},
-        names=tuple(names),
+        fluent_vars={name: v for v, name in enumerate(fl_names, 1)},
+        action_vars={name: v for v, name in enumerate(act_names, len(fl_names) + 1)},
+        names=tuple(fl_names + act_names),
         fluent_order=fluents,
         action_order=act_labels,
         notes=tuple(notes),
@@ -202,7 +213,7 @@ def optimality_query(encoding: BoundedEncoding) -> OptimalityQuery:
         raise PlanningError("optimality needs a nonempty goal")
     if len(goal) == 1:
         g = goal[0]
-        lits = tuple(encoding.var(str(g), t) for t in range(n))
+        lits = tuple(encoding.fluent_var(str(g), t) for t in range(n))
         query = CnfFormula.from_clauses([(-v,) for v in lits], encoding.cnf.num_vars)
         return OptimalityQuery(query, (), ())
 
@@ -216,7 +227,7 @@ def optimality_query(encoding: BoundedEncoding) -> OptimalityQuery:
         lits.append(gv)
         back: list[int] = [gv]
         for f in goal:
-            fv = encoding.var(str(f), t)
+            fv = encoding.fluent_var(str(f), t)
             defs.append((-gv, fv))
             back.append(-fv)
         defs.append(tuple(back))
@@ -254,7 +265,7 @@ def check_feasibility(
     own = {a.label: a for a in encoding.problem.actions}
     steps = []
     for t, a in enumerate(plan):
-        encoding.var(a.label, t)  # a name outside the encoding is an error
+        encoding.action_var(a.label, t)  # a name outside the encoding is an error
         steps.append(own.get(a.label, GroundAction(a.name, a.args)))
     if validate_plan(encoding.problem, steps):
         return FeasibilityResult(True)
@@ -262,7 +273,7 @@ def check_feasibility(
     by_label = {a.label: a for a in reference.problem.actions}
 
     def fvar(atom: GroundAtom, t: int) -> int:
-        return reference.var(str(atom), t)
+        return reference.fluent_var(str(atom), t)
 
     missing: list[Clause] = []
     origins: list[ClauseOrigin] = []
@@ -270,7 +281,7 @@ def check_feasibility(
         action = by_label.get(a.label)
         if action is None:
             continue
-        for kind, clause in _step_clauses(action, t, fvar, reference.var):
+        for kind, clause in _step_clauses(action, t, fvar, reference.action_var):
             clause = _normal(clause)
             if clause not in have:
                 missing.append(clause)
@@ -285,7 +296,7 @@ def decode_model(encoding: BoundedEncoding, model: Sequence[bool]) -> Plan:
     for t in range(encoding.horizon):
         chosen = [
             lbl for lbl in by_label
-            if model[encoding.var(lbl, t)]
+            if model[encoding.action_var(lbl, t)]
         ]
         if len(chosen) != 1:
             raise PlanningError(

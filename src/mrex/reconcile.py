@@ -166,7 +166,7 @@ def reconcile(problem: ReconcileProblem, *, timeout: float | None = None) -> Exp
         ws = workspace(total_vars, context + neg_clauses, candidates, budget=budget)
         while True:
             seed = min_hitting_set(instance, cancel=budget.check)
-            res = ws.solve_ids(seed)
+            res = ws.solve_ids(sorted(seed))
             if not res.satisfiable:
                 break
             mcs = extract_mcs(ws, seed=seed, first_result=res)

@@ -12,13 +12,19 @@ session histories produce identical answers, models, and conflict subsets.
 
 Each assumption takes one decision level.  A solve keeps the longest prefix
 of the previous solve's assumption levels whose literals it still assumes,
-and assumes the rest after them in ascending order; an answer leaves the
-trail at the level it was found on (van der Tak, Ramos & Heule, "Reusing the
-Assignment Trail in CDCL Solvers", JSAT 2011).  So a caller that grows one
-assumption set, as MCS extraction does, pays one level per new literal, not
-one per literal.  One walk over a clause's literals both checks and loads
-it, so a malformed clause raises before the session changes.  Adding a
-clause, and reducing the learnt clauses, start from level 0.
+and assumes the rest after them in the order the caller lists them; an
+answer leaves the trail at the level it was found on (van der Tak, Ramos &
+Heule, "Reusing the Assignment Trail in CDCL Solvers", JSAT 2011).  So a
+caller that grows one assumption set, as MCS extraction does, pays one
+level per new literal, not one per literal.  A conflict reached while the
+trail holds only assumption levels is learnt and backjumped over as usual,
+and then answers UNSAT at once: the assumptions that propagation used to
+reach it are the conflict subset, and the learnt clause's asserting literal
+waits on the trail for the next solve to propagate.  So a caller that lists
+the literal it tests last keeps, when the test fails, every level up to the
+backjump.  One walk over a clause's literals both checks and loads it, so a
+malformed clause raises before the session changes.  Adding a clause, and
+reducing the learnt clauses, start from level 0.
 
 Each decision branches on the unassigned problem variable of largest VSIDS
 activity, the smallest variable among ties.  Selectors are never decided
@@ -412,30 +418,40 @@ class SatSession:
         learnt[1], learnt[best] = learnt[best], learnt[1]
         return learnt, level[abs(learnt[1])]
 
-    def _analyze_final(self, failed: int) -> frozenset[int]:
-        """Assumption subset implying the failure of assumption `failed`."""
-        out = {failed}
-        v = failed if failed > 0 else -failed
-        if self._level[v] == 0:
-            return frozenset(out)
+    def _analyze_final(self, lits: Iterable[int]) -> set[int]:
+        """The assumptions whose propagation made every literal of lits
+        false.  Called with only assumption levels on the trail, so every
+        literal above level 0 that has no reason is an assumption."""
+        level = self._level
+        reason = self._reason
+        trail = self._trail
         seen = bytearray(self._nvars + 1)
-        seen[v] = 1
-        bound = self._trail_lim[0]
-        for idx in range(len(self._trail) - 1, bound - 1, -1):
-            lit = self._trail[idx]
+        pending = 0
+        for q in lits:
+            v = q if q > 0 else -q
+            if level[v] > 0 and not seen[v]:
+                seen[v] = 1
+                pending += 1
+        out: set[int] = set()
+        if not pending:
+            return out
+        for lit in reversed(trail):
             u = lit if lit > 0 else -lit
             if not seen[u]:
                 continue
-            seen[u] = 0
-            r = self._reason[u]
+            r = reason[u]
             if r is None:
                 out.add(lit)
             else:
                 for q in r[1:]:
                     w = q if q > 0 else -q
-                    if self._level[w] > 0:
+                    if level[w] > 0 and not seen[w]:
                         seen[w] = 1
-        return frozenset(out)
+                        pending += 1
+            pending -= 1
+            if not pending:
+                break
+        return out
 
     def _pick_branch(self) -> int:
         """The unassigned variable of largest activity, the smallest one
@@ -492,12 +508,19 @@ class SatSession:
 
         The trail keeps the longest prefix of the previous solve's
         assumption levels whose literals are all still assumed; the other
-        assumptions follow in ascending order, one decision level each.  An
-        answer leaves the trail where it stands, so the next solve starts
-        from it.  The order depends only on the session's history, so
-        identical histories give identical answers.
+        assumptions follow in the order the caller lists them, one decision
+        level each.  A conflict reached while the trail holds only
+        assumption levels is learnt and backjumped as any other, and then
+        answers UNSAT with the assumptions that propagation used to reach
+        it.  An answer leaves the trail where it stands, so the next solve
+        starts from it.  The order depends only on the session's history
+        and the caller's lists, so identical histories give identical
+        answers.
         """
-        aset = set(assumptions)
+        assumps = list(assumptions)
+        aset = set(assumps)
+        if len(aset) != len(assumps):
+            assumps = list(dict.fromkeys(assumps))
         for a in aset:
             if a == 0 or abs(a) > self._nvars:
                 raise SolverUsageError(f"assumption {a} references an unregistered variable")
@@ -505,19 +528,23 @@ class SatSession:
         max_learnts = max(_MIN_LEARNTS, 2 * self._n_problem_clauses)
         reduce = len(self._learnts) > max_learnts
         assumed = self._assumed
-        k = 0
-        if not reduce:  # _reduce_db runs at level 0
-            depth = min(len(self._trail_lim), len(assumed))
+        # a due reduction keeps no level: _reduce_db runs at level 0
+        depth = 0 if reduce else min(len(self._trail_lim), len(assumed))
+        if assumps[:depth] == assumed[:depth]:  # the caller extends the kept levels
+            k = depth
+        else:
+            k = 0
             while k < depth and assumed[k] in aset:
                 k += 1
+            kept = assumed[:k]
+            kept_set = set(kept)
+            assumps = kept + [a for a in assumps if a not in kept_set]
         self._backtrack(k)
         if not self._ok:
             return SolveResult(False, conflict_subset=frozenset())
         clash = min((a for a in aset if a < 0 and -a in aset), default=0)
         if clash:
             return SolveResult(False, conflict_subset=frozenset((clash, -clash)))
-        kept = assumed[:k]
-        assumps = kept + sorted(aset.difference(kept))
         self._assumed = assumps
 
         if reduce:
@@ -541,10 +568,18 @@ class SatSession:
                 if not self._trail_lim:
                     self._ok = False
                     return SolveResult(False, conflict_subset=frozenset())
+                # with only assumption levels on the trail, the conflict
+                # refutes the assumptions that propagation used to reach it
+                core = (self._analyze_final(confl) if len(trail_lim) <= len(assumps)
+                        else None)
                 learnt, back = self._analyze(confl)
                 self._backtrack(back)
                 self._record_learnt(learnt)
                 self._var_inc /= 0.95
+                if self.budget is not None and self.conflicts % _POLL_CONFLICTS == 0:
+                    self.budget.check()
+                if core is not None:
+                    return SolveResult(False, conflict_subset=frozenset(core))
                 conflicts += 1
                 if conflicts >= limit:
                     conflicts = 0
@@ -553,8 +588,6 @@ class SatSession:
                     self._backtrack(0)
                     if len(self._learnts) > max_learnts:
                         self._reduce_db()
-                if self.budget is not None and self.conflicts % _POLL_CONFLICTS == 0:
-                    self.budget.check()
                 continue
             level = len(trail_lim)
             if level < len(assumps):
@@ -562,7 +595,9 @@ class SatSession:
                 v = lit if lit > 0 else -lit
                 a = assign[v]
                 if a and (a == 1) != (lit > 0):
-                    return SolveResult(False, conflict_subset=self._analyze_final(lit))
+                    core = self._analyze_final((lit,))
+                    core.add(lit)
+                    return SolveResult(False, conflict_subset=frozenset(core))
                 self.assumption_levels += 1
                 if a:  # already true: the level stays empty
                     trail_lim.append(len(trail))

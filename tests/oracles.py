@@ -229,8 +229,8 @@ def feasible_by_sat(encoding, plan) -> bool:
     from mrex.minsets import workspace
 
     n = encoding.horizon
-    assumptions = [encoding.var(a.label, t) for t, a in enumerate(plan)]
-    assumptions += [encoding.var(str(g), n) for g in sorted(encoding.problem.goal)]
+    assumptions = [encoding.action_var(a.label, t) for t, a in enumerate(plan)]
+    assumptions += [encoding.fluent_var(str(g), n) for g in sorted(encoding.problem.goal)]
     session = workspace(encoding.cnf.num_vars, encoding.cnf.clauses)
     return session.solve(assumptions).satisfiable
 
@@ -238,13 +238,13 @@ def feasible_by_sat(encoding, plan) -> bool:
 def plan_dynamics_clauses(encoding, plan) -> list[Clause]:
     """Each plan step's pre, add and del clauses, in that order and each
     sorted by atom, under the encoding's variables: built from the step
-    action's atom sets and `encoding.var` alone."""
+    action's atom sets and the encoding's fluent_var and action_var alone."""
     out: list[Clause] = []
     for t, a in enumerate(plan):
-        act = encoding.var(a.label, t)
-        lits = [encoding.var(str(p), t) for p in sorted(a.pre)]
-        lits += [encoding.var(str(e), t + 1) for e in sorted(a.add)]
-        lits += [-encoding.var(str(e), t + 1) for e in sorted(a.delete)]
+        act = encoding.action_var(a.label, t)
+        lits = [encoding.fluent_var(str(p), t) for p in sorted(a.pre)]
+        lits += [encoding.fluent_var(str(e), t + 1) for e in sorted(a.add)]
+        lits += [-encoding.fluent_var(str(e), t + 1) for e in sorted(a.delete)]
         out += [tuple(sorted((-act, lit), key=abs)) for lit in lits]
     return out
 

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import random
 import types
+from pathlib import Path
 
 import pytest
 
 import mrex.reconcile as reconcile_module
 from mrex import minsets
+from mrex.cli import RunConfig, run_explain_plan
 from mrex.formula import CnfFormula
 from mrex.minsets import (
     Budget,
@@ -239,6 +241,54 @@ def test_mcs_test_keeps_the_seed_assumption_levels(monkeypatch):
     ws = workspace(10, [], _TEN_CHAIN)
     assert extract_mcs(ws, range(5)).ids == {5}
     assert ws.assumption_levels == 10
+
+    # Over y, z, w, x = 1..4 the all-false first model admits clauses 2 and
+    # 3, and probe 0 (w) is satisfiable: 3 levels.  Probe 1 (y) goes after
+    # the kept clauses 2, 3 and 0, opens its one level, and its conflict
+    # answers at once: the learnt clause ¬y ∨ ¬w ∨ ¬s2 ∨ ¬s3 backjumps to
+    # level 3 and leaves ¬y pending there.  The last probe, 4, reuses all
+    # three kept levels and opens one.
+    ws = workspace(4, [], [(3,), (1,), (-3, -1, 2), (-1, -2), (4,)])
+    real = ws.solve
+    steps = []
+
+    def solve(assumptions):
+        before = ws.assumption_levels
+        res = real(assumptions)
+        steps.append((res.satisfiable, ws.assumption_levels - before,
+                      min(len(ws._trail_lim), len(ws._assumed)),
+                      ws._qhead < len(ws._trail)))
+        return res
+
+    ws.solve = solve
+    assert extract_mcs(ws).ids == {1}
+    assert steps == [(True, 0, 0, False), (True, 3, 3, False),
+                     (False, 1, 3, True), (True, 1, 4, False)]
+
+
+def test_hitting_set_loop_session_counters_on_sussman_scenario_4(monkeypatch):
+    """Restricted Sussman scenario 4 (seed 0): the session of the
+    hitting-set loop opens at most 41 752 assumption levels and makes at
+    most 48 905 propagations, 51 576 and 62 680 before MCS probes went
+    last and a conflict under assumptions answered at once."""
+    monkeypatch.setattr(minsets, "check_minimality", False)  # audits solve too
+    sessions = []
+    real = reconcile_module.extract_mcs
+
+    def extract_mcs_logged(ws, *args, **kwargs):
+        if "first_result" in kwargs and ws not in sessions:
+            sessions.append(ws)
+        return real(ws, *args, **kwargs)
+
+    monkeypatch.setattr(reconcile_module, "extract_mcs", extract_mcs_logged)
+    data = Path(__file__).parent / "data"
+    result = run_explain_plan(RunConfig(
+        command="explain-plan", mode=RESTRICTED, seed=0, scenario=4,
+        inputs=(str(data / "blocksworld.pddl"), str(data / "sussman.pddl"))))
+    assert len(result.explanation.update) == 39 and result.verification.ok
+    (ws,) = sessions
+    assert ws.assumption_levels <= 41752
+    assert ws.propagations <= 48905
 
 
 # q=4 follows from the chain x1, x1->x2, x2->x3, x3->q; kb_h lacks x2->x3

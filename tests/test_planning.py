@@ -333,7 +333,8 @@ class TestEncoding:
             tweaked.problem, 2, include_goal=False,
             fluent_order=enc_a.fluent_order, action_order=enc_a.action_order,
         )
-        assert enc_h.var_map == enc_a.var_map
+        assert enc_h.fluent_vars == enc_a.fluent_vars
+        assert enc_h.action_vars == enc_a.action_vars
         # Scenario 1 only drops precondition clauses: KB_h ⊂ KB_a exactly
         # by the logged removals, at every step.
         diff = set(enc_a.cnf.clauses) - set(enc_h.cnf.clauses)
@@ -343,8 +344,8 @@ class TestEncoding:
             if rec.kind != "pre":
                 continue
             for t in range(2):
-                av = enc_a.var_map[f"{rec.action}@{t}"]
-                fv = enc_a.var_map[f"{rec.atom}@{t}"]
+                av = enc_a.action_vars[f"{rec.action}@{t}"]
+                fv = enc_a.fluent_vars[f"{rec.atom}@{t}"]
                 expected.add(tuple(sorted((-av, fv), key=abs)))
         assert diff == expected
 
@@ -357,9 +358,10 @@ class TestEncoding:
         problem = ground(parse_pddl(CHAIN_DOMAIN, CHAIN_PROBLEM))
         enc = encode_bounded(problem, 2, include_goal=False)
         lines = write_var_map(enc).splitlines()
-        assert len(lines) == len(enc.var_map)
+        assert len(lines) == len(enc.fluent_vars) + len(enc.action_vars)
         parsed = {int(v): name for v, name in (l.split(" ", 1) for l in lines)}
-        assert parsed == {v: k for k, v in enc.var_map.items()}
+        assert parsed == {v: k for table in (enc.fluent_vars, enc.action_vars)
+                          for k, v in table.items()}
 
 
 class TestOptimalityQuery:
@@ -367,7 +369,7 @@ class TestOptimalityQuery:
         problem = ground(parse_pddl(BLOCKS, TWO_BLOCKS))
         enc = encode_bounded(problem, 2, include_goal=False)
         oq = optimality_query(enc)
-        gv = [enc.var_map[f"on(a,b)@{t}"] for t in range(2)]
+        gv = [enc.fluent_vars[f"on(a,b)@{t}"] for t in range(2)]
         assert list(oq.query.clauses) == [(-gv[0],), (-gv[1],)]
         assert oq.definitions == ()
 
@@ -381,7 +383,7 @@ class TestOptimalityQuery:
         # Definitional equivalence: g_t true exactly when both goal fluents are.
         goal = sorted(problem.goal)
         for (gv, _name), t in zip(oq.new_names, range(2)):
-            fvs = [enc.var_map[f"{f}@{t}"] for f in goal]
+            fvs = [enc.fluent_vars[f"{f}@{t}"] for f in goal]
             step_defs = [c for c in oq.definitions if gv in c or -gv in c]
             for bits in itertools.product([False, True], repeat=3):
                 value = dict(zip([gv] + fvs, bits))
@@ -398,6 +400,28 @@ class TestOptimalityQuery:
         oq = optimality_query(enc)
         negated = tuple(-c[0] for c in oq.query.clauses)
         assert not _solve(enc.cnf, negated).satisfiable
+
+    def test_fluent_and_action_of_one_name_stay_apart(self):
+        """A 0-ary predicate (done) and a 0-ary action done share the name
+        done@t; the query still negates the goal fluent's variables, and
+        the optimal plan decodes through the action's."""
+        domain = """
+        (define (domain clash)
+          (:requirements :strips)
+          (:predicates (p) (done))
+          (:action set-p :parameters () :precondition (and) :effect (p))
+          (:action done :parameters () :precondition (p) :effect (done)))
+        """
+        problem = ground(parse_pddl(domain, """
+        (define (problem clash-2) (:domain clash) (:objects) (:init) (:goal (done)))
+        """))
+        enc = encode_bounded(problem, 2, include_goal=False)
+        fluent = [enc.fluent_var("done", t) for t in range(2)]
+        action = [enc.action_var("done", t) for t in range(2)]
+        assert fluent == [1, 3] and action == [7, 9]
+        assert list(optimality_query(enc).query.clauses) == [(-1,), (-3,)]
+        res = _solve(encode_bounded(problem, 2, include_goal=True).cnf)
+        assert [a.label for a in decode_model(enc, res.model)] == ["set-p", "done"]
 
     def test_horizon_zero_rejected(self):
         problem = ground(parse_pddl(BLOCKS, TWO_BLOCKS))
@@ -626,7 +650,7 @@ class TestEndToEnd:
         assert "feasibility feasible=true missing=0" in result.report.records
         enc_a, expl, problem = result.encoding, result.explanation, result.problem
         pre_clause = tuple(sorted(
-            (-enc_a.var_map["finish@0"], enc_a.var_map["p@0"]), key=abs
+            (-enc_a.action_vars["finish@0"], enc_a.fluent_vars["p@0"]), key=abs
         ))
         assert expl.update == (pre_clause,)
         size, _ = brute_force_min_update(problem)

@@ -368,7 +368,7 @@ def test_learnt_clauses_stay_bounded_without_restarts(monkeypatch):
     for c in _random_3sat(3, 80, 340):
         s.add_hard(c)
     limit = 2 * 340
-    for _ in range(800):
+    for _ in range(1200):
         before = s.conflicts
         s.solve([v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 81), 12)])
         assert s.conflicts - before < 256
@@ -455,13 +455,13 @@ def test_golden_digest_of_incremental_solves():
             else:
                 line = "unsat " + " ".join(map(str, sorted(r.conflict_subset)))
             h.update(line.encode() + b"\n")
-    assert h.hexdigest() == "02b0cf870e83144a06e8e551dcdd43f20d81b298ad20f42607f5ddc5a55ba201"
+    assert h.hexdigest() == "133502a5815897838634f636691fdbf50dc8fecf8f42c0bfe775916c7584b8ba"
 
 
 def test_a_solve_keeps_the_assumption_levels_still_assumed():
     """Extending the last assumption set by one literal opens one level,
     even when the new literal sorts first; dropping one keeps the levels
-    below it.  add_hard drops to level 0, and an answer leaves the trail in
+    below it, and the rest follow in the caller's order.  add_hard drops to level 0, and an answer leaves the trail in
     place: a failed assumption opens no level, and the same set without
     the failed literal opens none."""
     s = SatSession(10)
@@ -470,10 +470,10 @@ def test_a_solve_keeps_the_assumption_levels_still_assumed():
     assert s.assumption_levels == 3
     assert s.solve([4, 5, 6, -1]).satisfiable  # order 4 5 6 -1
     assert s.assumption_levels == 4
-    assert s.solve([4, 6, -1]).satisfiable  # keeps 4, then -1 6
+    assert s.solve([4, 6, -1]).satisfiable  # keeps 4, then 6 -1
     assert s.assumption_levels == 6
     s.add_hard((-7, -8))
-    assert s.solve([4, 6, -1]).satisfiable  # order -1 4 6
+    assert s.solve([4, 6, -1]).satisfiable  # order 4 6 -1
     assert s.assumption_levels == 9
     res = s.solve([-1, 4, 6, 7, 8])  # 7 implies -8
     assert res.conflict_subset == {7, 8}
@@ -569,6 +569,77 @@ def test_reused_assumption_levels_keep_answers_sound(monkeypatch):
                 clashes += any(-x in res.conflict_subset for x in res.conflict_subset)
     assert answers >= 2000 and unsat >= 500 and clashes >= 150
     assert stopped >= 30 and reused >= 800 and len(reductions) >= 25
+
+
+def test_conflicts_under_assumptions_end_solves_soundly(monkeypatch):
+    """Random sessions solve drifting assumption lists, in random order and
+    with repeats, so that propagation over the assumption levels alone
+    often conflicts.  Such a conflict ends its solve with the learnt
+    clause's asserting literal pending on the trail.  Every answer agrees
+    with the truth table, every conflict subset is a subset of the
+    assumptions and unsatisfiable on its own, and the next solve, which
+    often keeps the level the literal waits on, answers soundly too, also
+    after a passed deadline stopped a solve at a conflict."""
+    monkeypatch.setattr(solver, "_POLL_CONFLICTS", 1)
+    offset = [0.0]
+    real_time = minsets.time
+    monkeypatch.setattr(minsets, "time", types.SimpleNamespace(
+        monotonic=lambda: real_time.monotonic() + offset[0]))
+    targets: list[int] = []
+    real_backtrack = SatSession._backtrack
+
+    def backtrack(s, level):
+        targets.append(level)
+        real_backtrack(s, level)
+
+    monkeypatch.setattr(SatSession, "_backtrack", backtrack)
+    rng = random.Random(5)
+    answers = ended = kept_pending = stopped = 0
+    for _ in range(50):
+        n = rng.randint(9, 12)
+        s = SatSession(n, budget=Budget(1000.0))
+        hard = [_clause3(rng, n) for _ in range(3 * n)]
+        for c in hard:
+            s.add_hard(c)
+        sels = [s.add_soft(_clause3(rng, n)) for _ in range(3 * n)]
+        clause_of = dict(zip(sels, s.soft))
+
+        def clauses(lits):
+            return hard + [clause_of[x] if x > n else (x,) for x in lits]
+
+        assumed: list[int] = []
+        for _ in range(80):
+            if rng.random() < 0.6 or not assumed:
+                assumed.append(rng.choice(sels) if rng.random() < 0.7
+                               else rng.choice((1, -1)) * rng.randint(1, n))
+            else:
+                assumed.remove(rng.choice(assumed))
+            order = list(assumed)
+            if rng.random() < 0.3:
+                rng.shuffle(order)
+            if order and rng.random() < 0.1:
+                order.append(rng.choice(order))
+            pending = s._trail_lim and s._qhead < len(s._trail)
+            level = len(s._trail_lim)
+            conflicts = s.conflicts
+            targets.clear()
+            offset[0] = 1e6 if rng.random() < 0.2 else 0.0
+            try:
+                res = s.solve(order)
+            except _OutOfTime:
+                stopped += 1
+                continue
+            finally:
+                offset[0] = 0.0
+            answers += 1
+            kept_pending += bool(pending) and targets[0] >= level
+            assert res.satisfiable == tt_satisfiable(clauses(order), n)
+            if not res.satisfiable:
+                assert res.conflict_subset <= set(order)
+                assert not tt_satisfiable(clauses(res.conflict_subset), n)
+                ended += s.conflicts > conflicts and s._qhead < len(s._trail)
+    assert answers >= 3500 and stopped >= 40
+    assert ended >= 100 and kept_pending >= 150
 
 
 def test_propagations_count_the_dequeued_trail_literals():
