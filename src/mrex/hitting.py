@@ -20,8 +20,6 @@ it finds a hitting set that small.  The reductions keep the optimum size:
 - element domination (Weihe, "Covering Trains by Stations or the Power of
   Data Reduction", ALEX 1998) deletes an element when another element lies
   in every set that holds it, at every node, until nothing changes;
-- element-disjoint groups are solved apart, their optima add, and each
-  group's cap is what the others' packing bounds leave;
 - a greedy packing of pairwise-disjoint sets bounds every branch from
   below.
 
@@ -29,15 +27,16 @@ A branch takes one element of a smallest set, most frequent first, and the
 child inherits its parent's lower bound minus one.
 
 Domination can delete a member of the lexicographically smallest optimum,
-so ``_opt`` returns sizes only.  ``min_hitting_set`` first finds the
-optimum of each group, then rebuilds the lexicographically smallest
-optimum (by sorted element id) over the original sets, trying the
-elements in ascending id order: a candidate is kept when the sets it
-leaves unhit still have a hitting set of the remaining size ``t``, which
-is one bounded question, ``_opt(rest, cap=t, floor=t) == t``.  The
-smallest optimum is unique, so neither the search order nor the bit
-numbering changes the answer, and repeated runs are byte-for-byte
-reproducible.
+so ``_opt`` returns sizes only.  ``min_hitting_set`` splits the sets into
+element-connected components once per call (their optima add; the search
+itself never splits again), finds each component's optimum, then rebuilds
+its lexicographically smallest optimum (by sorted element id) over the
+original sets, trying the elements in ascending id order: a candidate is
+kept when the sets it leaves unhit still have a hitting set of the
+remaining size ``t``, which is one bounded question,
+``_opt(rest, cap=t, floor=t) == t``.  The smallest optimum is unique, so
+neither the search order nor the bit numbering changes the answer, and
+repeated runs are byte-for-byte reproducible.
 
 Two memos live on the instance, keyed by the sorted masks of a
 subproblem, and carry work across the incremental use pattern (add one
@@ -115,17 +114,10 @@ def _minimal_sets(masks: Iterable[int]) -> list[int]:
 
 def _forced_units(sets: list[int]) -> tuple[int, list[int]]:
     """Elements of singleton sets belong to every hitting set.  Returns the
-    forced elements as a mask and the sets still unhit after taking them."""
-    forced = 0
-    while True:
-        units = 0
-        for m in sets:
-            if m & (m - 1) == 0:
-                units |= m
-        if not units:
-            return forced, sets
-        forced |= units
-        sets = [m for m in sets if not m & units]
+    forced elements as a mask and the sets still unhit after taking them;
+    dropping sets makes no new singleton, so one pass forces them all."""
+    units = reduce(or_, (m for m in sets if m & (m - 1) == 0), 0)
+    return units, [m for m in sets if not m & units]
 
 
 def _components(sets: list[int]) -> list[list[int]]:
@@ -203,10 +195,12 @@ def _opt(
     otherwise a proven lower bound greater than ``cap``.  ``floor`` must be
     a proven lower bound on the optimum.
 
-    ``sets`` holds no singleton: ``min_hitting_set`` forces units before it
-    splits, ``_undominated`` forces those that domination creates, and the
-    children of a branch or of the lexicographic reconstruction only drop
-    sets of a singleton-free family."""
+    After the memos and domination, the packing bound may settle the node;
+    otherwise it branches on the elements of a smallest set, most frequent
+    first.  ``sets`` holds no singleton: ``min_hitting_set`` forces units
+    before it splits, ``_undominated`` forces those that domination
+    creates, and the children of a branch or of the lexicographic
+    reconstruction only drop sets of a singleton-free family."""
     inst.nodes += 1
     if not sets:
         return 0
@@ -221,72 +215,34 @@ def _opt(
     if lower > cap:
         return lower
     forced, rest = _undominated(sets)
-    k = forced.bit_count()
-    if k > cap or not rest:
-        value = k
-    else:
-        components = _components(rest)
-        if len(components) > 1:
-            value = k + _opt_split(inst, components, cap - k, cancel)
+    value = forced.bit_count()
+    room = cap - value
+    if room >= 0 and rest:
+        lower = max(lower - value, _packing_bound(rest))
+        if lower > room:
+            value += lower
         else:
-            value = k + _opt_branch(
-                inst, rest, cap - k, max(lower - k, _packing_bound(rest)), cancel
-            )
+            target = min(rest, key=int.bit_count)
+            occurrence = {e: sum(1 for m in rest if m >> e & 1)
+                          for e in _bits(target)}
+            best = room + 1  # no hitting set of size <= room found yet
+            bound = None  # least lower bound proven by the children
+            for e in sorted(occurrence, key=lambda x: (-occurrence[x], x)):
+                bit = 1 << e
+                child = 1 + _opt(inst, [m for m in rest if not m & bit],
+                                 best - 2, lower - 1, cancel)
+                if child < best:
+                    best = child
+                    if best == lower:
+                        break
+                elif best > room:
+                    bound = child if bound is None else min(bound, child)
+            value += best if best <= room else bound
     if value <= cap:
         inst._exact[key] = value
     else:
         inst._lower[key] = value
     return value
-
-
-def _opt_split(
-    inst: HittingSetInstance,
-    components: list[list[int]],
-    cap: int,
-    cancel: Cancel,
-) -> int:
-    """``_opt`` of element-disjoint components: their optima add, so each
-    component's cap is what the others' lower bounds leave."""
-    bounds = [_packing_bound(c) for c in components]
-    slack = cap - sum(bounds)
-    if slack < 0:
-        return cap - slack
-    total = 0
-    for c, bound in zip(components, bounds):
-        value = _opt(inst, c, bound + slack, bound, cancel)
-        total += value
-        slack -= value - bound
-        if slack < 0:
-            return cap - slack
-    return total
-
-
-def _opt_branch(
-    inst: HittingSetInstance,
-    sets: list[int],
-    cap: int,
-    lower: int,
-    cancel: Cancel,
-) -> int:
-    """``_opt`` of one connected family with proven lower bound ``lower``:
-    branch on the elements of a smallest set, most frequent first."""
-    if lower > cap:
-        return lower
-    target = min(sets, key=int.bit_count)
-    occurrence = {e: sum(1 for m in sets if m >> e & 1) for e in _bits(target)}
-    best = cap + 1  # no hitting set of size <= cap found yet
-    bound = None  # least lower bound proven by the children
-    for e in sorted(occurrence, key=lambda x: (-occurrence[x], x)):
-        bit = 1 << e
-        value = 1 + _opt(inst, [m for m in sets if not m & bit], best - 2,
-                         lower - 1, cancel)
-        if value < best:
-            best = value
-            if best == lower:
-                break
-        elif best > cap:
-            bound = value if bound is None else min(bound, value)
-    return best if best <= cap else bound
 
 
 def _lex_smallest(

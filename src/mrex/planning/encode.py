@@ -46,7 +46,9 @@ class BoundedEncoding:
     # predicate and a 0-ary action may share a name
     fluent_vars: dict[str, int]
     action_vars: dict[str, int]
-    names: tuple[str, ...]  # `<name>@<t>` of variable v at names[v - 1]
+    # `<name>@<t>` of variable v at names[v - 1]; an action that shares a
+    # fluent's name shows as `do:<name>@<t>`
+    names: tuple[str, ...]
     fluent_order: tuple[GroundAtom, ...]
     action_order: tuple[str, ...]
     notes: tuple[str, ...] = ()
@@ -127,6 +129,11 @@ def encode_bounded(
 
     fl_names = [f"{f}@{t}" for t in range(n + 1) for f in fluents]
     act_names = [f"{lbl}@{t}" for t in range(n) for lbl in act_labels]
+    # an action labelled like a fluent is shown with a prefix that no PDDL
+    # name can carry, so every variable keeps a name of its own
+    clashes = set(act_labels) & set(map(str, fluents))
+    act_shown = [f"do:{name}" if lbl in clashes else name
+                 for name, lbl in zip(act_names, act_labels * n)]
 
     own_actions = problem.actions  # already canonically sorted
     adders: dict[GroundAtom, list[GroundAction]] = {f: [] for f in fluents}
@@ -182,7 +189,7 @@ def encode_bounded(
         cnf=CnfFormula(tuple(clauses), num_vars),
         fluent_vars={name: v for v, name in enumerate(fl_names, 1)},
         action_vars={name: v for v, name in enumerate(act_names, len(fl_names) + 1)},
-        names=tuple(fl_names + act_names),
+        names=tuple(fl_names + act_shown),
         fluent_order=fluents,
         action_order=act_labels,
         notes=tuple(notes),

@@ -2,7 +2,9 @@
 
 Rejects anything outside positive-conjunctive STRIPS: other requirement
 flags, negative or compound preconditions/goals, conditional effects,
-undefined predicates or types, arity mismatches.
+undefined predicates or types, arity mismatches.  A predicate or action
+name holding ':' is rejected too (PDDL names cannot carry one), so the
+encoder's `do:` prefix for an action named like a fluent stays unique.
 """
 
 from __future__ import annotations
@@ -199,6 +201,8 @@ def parse_domain(text: str) -> LiftedTask:
             for p in section[1:]:
                 if not isinstance(p, list) or not p or not isinstance(p[0], str):
                     raise PddlParseError("malformed predicate declaration")
+                if ":" in p[0]:
+                    raise PddlParseError(f"predicate name {p[0]!r} holds ':'")
                 params = _typed_list(p[1:], f"predicate {p[0]}")
                 task.predicates[p[0]] = tuple(t for _v, t in params)
         elif head == ":action":
@@ -216,6 +220,8 @@ def _parse_action(section: list, task: LiftedTask) -> ActionSchema:
     if len(section) < 2 or not isinstance(section[1], str):
         raise PddlParseError("action needs a name")
     name = section[1]
+    if ":" in name:
+        raise PddlParseError(f"action name {name!r} holds ':'")
     fields: dict[str, Sexp] = {}
     i = 2
     while i < len(section):

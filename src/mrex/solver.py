@@ -183,12 +183,19 @@ class SatSession:
         return s
 
     def solve_ids(self, ids: Iterable[int]) -> SolveResult:
-        """Solve with the soft clauses at these positions switched on."""
+        """Solve with the soft clauses at these positions switched on; a
+        position outside range(len(self.soft)) is a usage error."""
+        base = self.num_vars + 1
+        selectors = [base + i for i in ids]
+        if selectors:
+            low, high = min(selectors), max(selectors)
+            if low < base or high >= base + len(self.soft):
+                bad = low - base if low < base else high - base
+                raise SolverUsageError(f"soft clause id {bad} is out of range")
         if self.budget is not None:
             self.budget.check()
             self.budget.calls += 1
-        base = self.num_vars + 1
-        return self.solve([base + i for i in ids])
+        return self.solve(selectors)
 
     def core_ids(self, result: SolveResult) -> set[int]:
         """Positions of the soft clauses in an UNSAT answer's conflict subset."""

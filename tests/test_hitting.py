@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mrex.hitting import _components, _opt_split, _undominated, min_hitting_set
+from mrex.hitting import _opt, _undominated, min_hitting_set
 
 from oracles import (
     all_minimal_hitting_sets,
@@ -201,19 +201,20 @@ def test_forced_elements_count_when_the_rest_splits():
     assert got == _lex_smallest_minimum(instance_sets(inst))
 
 
-def test_split_stops_once_the_components_exceed_the_cap():
-    """Two triangles: each has packing bound 1 and optimum 2.  Under cap 1
-    the bounds alone exceed it; under cap 2 the first triangle's optimum
-    does.  Either way the answer is a bound above the cap and at most the
-    optimum, 4."""
+def test_capped_search_of_two_triangles_stops_above_the_cap():
+    """Two element-disjoint triangles, searched as one family: each needs
+    two elements, so the optimum is 4.  Under caps 1 and 2 the search
+    answers a proven bound above the cap and at most the optimum; under
+    cap 4 it answers the optimum."""
     triangles = [{1, 2}, {2, 3}, {1, 3}, {4, 5}, {5, 6}, {4, 6}]
     optimum = brute_min_hitting_set_size(map(frozenset, triangles))
-    for cap, want in ((1, 2), (2, 3)):
+    for cap in (1, 2, 4):
         inst = hitting_instance(triangles)
-        components = _components(inst.masks)
-        assert len(components) == 2
-        got = _opt_split(inst, components, cap, no_cancel)
-        assert cap < got == want <= optimum == 4
+        got = _opt(inst, inst.masks, cap, 0, no_cancel)
+        if cap < optimum:
+            assert cap < got <= optimum == 4
+        else:
+            assert got == optimum == 4
 
 
 def _nested_column_family(rng):

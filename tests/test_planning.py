@@ -403,8 +403,11 @@ class TestOptimalityQuery:
 
     def test_fluent_and_action_of_one_name_stay_apart(self):
         """A 0-ary predicate (done) and a 0-ary action done share the name
-        done@t; the query still negates the goal fluent's variables, and
-        the optimal plan decodes through the action's."""
+        done@t; the query still negates the goal fluent's variables, the
+        optimal plan decodes through the action's, and the action's
+        variables are named do:done@t, so every name and .map line is
+        distinct.  A ':' in a predicate or action name, which could
+        forge that prefix, is rejected."""
         domain = """
         (define (domain clash)
           (:requirements :strips)
@@ -419,9 +422,21 @@ class TestOptimalityQuery:
         fluent = [enc.fluent_var("done", t) for t in range(2)]
         action = [enc.action_var("done", t) for t in range(2)]
         assert fluent == [1, 3] and action == [7, 9]
+        assert [enc.name_of(v) for v in fluent + action] == [
+            "done@0", "done@1", "do:done@0", "do:done@1"]
+        assert enc.name_of(2) == "p@0" and enc.name_of(8) == "set-p@0"
+        assert len(set(enc.names)) == len(enc.names) == 10
+        lines = write_var_map(enc).splitlines()
+        names = [line.split(" ", 1)[1] for line in lines]
+        assert len(set(names)) == len(lines) == 10
         assert list(optimality_query(enc).query.clauses) == [(-1,), (-3,)]
         res = _solve(encode_bounded(problem, 2, include_goal=True).cnf)
         assert [a.label for a in decode_model(enc, res.model)] == ["set-p", "done"]
+        for forged in ("(:predicates (p) (done) (do:done))",
+                       "(:predicates (p) (done)) (:action do:set-p :parameters ()"
+                       " :precondition (and) :effect (p))"):
+            with pytest.raises(PddlParseError, match="holds ':'"):
+                parse_domain(domain.replace("(:predicates (p) (done))", forged))
 
     def test_horizon_zero_rejected(self):
         problem = ground(parse_pddl(BLOCKS, TWO_BLOCKS))

@@ -105,6 +105,20 @@ def test_unregistered_assumption_raises():
         s.solve([99])
 
 
+def test_solve_ids_rejects_positions_outside_the_soft_clauses():
+    # id -1 would assume problem variable 3, and id 1 the selector of a
+    # soft clause not yet added; both are named in the error
+    s = SatSession(3)
+    s.add_hard((-3,))
+    s.add_soft((1,))
+    with pytest.raises(SolverUsageError, match="soft clause id -1 "):
+        s.solve_ids([0, -1])
+    with pytest.raises(SolverUsageError, match="soft clause id 1 "):
+        s.solve_ids([1, 0])
+    res = s.solve_ids([0])
+    assert res.satisfiable and s.solve_ids([]).satisfiable
+
+
 def test_contradictory_assumptions():
     s = SatSession(3)
     res = s.solve([2, -2])
