@@ -227,7 +227,6 @@ class QueryNegation:
 
     clauses: tuple[Clause, ...]
     aux_vars: range
-    single_clause: bool
 
 
 def negate_query(query: CnfFormula, next_free_var: int) -> QueryNegation:
@@ -252,7 +251,7 @@ def negate_query(query: CnfFormula, next_free_var: int) -> QueryNegation:
             raise DegenerateQueryError(
                 "query contains complementary unit clauses; its negation is valid"
             ) from exc
-        return QueryNegation((clause,), range(next_free_var, next_free_var), True)
+        return QueryNegation((clause,), range(next_free_var, next_free_var))
     k = len(query.clauses)
     selectors = range(next_free_var, next_free_var + k)
     clauses: list[Clause] = []
@@ -260,4 +259,4 @@ def negate_query(query: CnfFormula, next_free_var: int) -> QueryNegation:
         for lit in disjunct:
             clauses.append(normalize_clause((-s, -lit)))
     clauses.append(tuple(selectors))
-    return QueryNegation(tuple(clauses), selectors, False)
+    return QueryNegation(tuple(clauses), selectors)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Container, Iterable
 
 from .formula import Clause
-from .solver import SatSession, SolveResult
+from .solver import SatSession
 
 # When True every extraction re-verifies its result by single-element
 # perturbation before returning (test builds).
@@ -41,10 +41,6 @@ class Budget:
 
 class MinimalSetError(ValueError):
     pass
-
-
-class SeedInconsistentError(MinimalSetError):
-    """The seed together with the hard clauses is already unsatisfiable."""
 
 
 class NothingToCorrectError(MinimalSetError):
@@ -81,13 +77,9 @@ def workspace(num_vars: int, hard: Iterable[Clause], soft: Iterable[Clause] = ()
     return ws
 
 
-def extract_mcs(
-    ws: SatSession,
-    seed: Iterable[int] = (),
-    *,
-    first_result: SolveResult | None = None,
-) -> McsResult:
-    """One minimal correction set disjoint from the seed clauses.
+def extract_mcs(ws: SatSession, seed: Iterable[int] = ()) -> McsResult | None:
+    """One minimal correction set disjoint from the seed clauses, or None
+    when the seed clauses with the hard clauses are unsatisfiable.
 
     Linear search: grow a satisfiable subset from the seed in ascending
     position order, admitting for free every clause the current model already
@@ -101,9 +93,9 @@ def extract_mcs(
     """
     order = sorted(seed)
     kept = set(order)
-    res = first_result if first_result is not None else ws.solve_ids(order)
+    res = ws.solve_ids(order)
     if not res.satisfiable:
-        raise SeedInconsistentError("seed clauses conflict with the hard clauses")
+        return None
     admitted = ws.satisfied_ids(res.model, kept)
     order += admitted
     kept.update(admitted)

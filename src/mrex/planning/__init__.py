@@ -7,7 +7,6 @@ from .encode import (
     FeasibilityResult,
     OptimalityQuery,
     check_feasibility,
-    decode_model,
     encode_bounded,
     optimality_query,
     write_var_map,
@@ -61,7 +60,6 @@ __all__ = [
     "TweakRecord",
     "TweakedModel",
     "check_feasibility",
-    "decode_model",
     "encode_bounded",
     "ground",
     "optimal_plan_search",

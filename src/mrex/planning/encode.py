@@ -6,6 +6,12 @@ at-least-one clause plus pairwise at-most-one clauses force exactly one
 action per step.  Step 0 carries the closed-world initial state; the goal
 can be emitted as units at the horizon.
 
+Variables are numbered from the fluent_order F, the action_order A and the
+horizon h alone: fluent F[i] at step t (0 <= t <= h) is t·|F| + i + 1, and
+action A[j] at step t (0 <= t < h) is (h+1)·|F| + t·|A| + j + 1.
+BoundedEncoding.fluent_var and action_var compute that numbering and
+name_of inverts it; nothing else maps a fluent or action step to a variable.
+
 Two encodings share one variable space when built with the same
 fluent_order/action_order, which is how an agent's knowledge base and a
 degraded user model stay comparable clause-for-clause: an action or fluent
@@ -20,7 +26,7 @@ check_feasibility derives its repair clauses from the plan's steps with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ..formula import Clause, CnfFormula
 from .model import GroundAction, GroundAtom, Plan, PlanningError, PlanningProblem
@@ -42,32 +48,44 @@ class BoundedEncoding:
     problem: PlanningProblem
     horizon: int
     cnf: CnfFormula
-    # `<name>@<t>` -> variable, apart for fluents and actions: a 0-ary
-    # predicate and a 0-ary action may share a name
-    fluent_vars: dict[str, int]
-    action_vars: dict[str, int]
-    # `<name>@<t>` of variable v at names[v - 1]; an action that shares a
-    # fluent's name shows as `do:<name>@<t>`
-    names: tuple[str, ...]
     fluent_order: tuple[GroundAtom, ...]
     action_order: tuple[str, ...]
     notes: tuple[str, ...] = ()
 
-    def fluent_var(self, name: str, t: int) -> int:
-        return _lookup(self.fluent_vars, name, t)
+    def __post_init__(self) -> None:
+        self._fluent_index = {f: i for i, f in enumerate(self.fluent_order)}
+        self._action_index = {lbl: j for j, lbl in enumerate(self.action_order)}
+        # action labels that are also fluent names, shown as `do:<label>`
+        self._clashes = set(self.action_order) & set(map(str, self.fluent_order))
+
+    def fluent_var(self, atom: GroundAtom, t: int) -> int:
+        i = self._fluent_index.get(atom)
+        if i is None or not 0 <= t <= self.horizon:
+            raise PlanningError(f"unknown name {str(atom)!r} at step {t}")
+        return t * len(self.fluent_order) + i + 1
 
     def action_var(self, label: str, t: int) -> int:
-        return _lookup(self.action_vars, label, t)
+        j = self._action_index.get(label)
+        if j is None or not 0 <= t < self.horizon:
+            raise PlanningError(f"unknown name {label!r} at step {t}")
+        nf, na = len(self.fluent_order), len(self.action_order)
+        return (self.horizon + 1) * nf + t * na + j + 1
 
     def name_of(self, var: int) -> str:
-        return self.names[var - 1] if 0 < var <= len(self.names) else f"aux{var}"
-
-
-def _lookup(table: dict[str, int], name: str, t: int) -> int:
-    try:
-        return table[f"{name}@{t}"]
-    except KeyError:
-        raise PlanningError(f"unknown name {name!r} at step {t}") from None
+        """`<name>@<t>` of a fluent or action variable, `aux<var>` for any
+        other.  An action labelled like a fluent shows as `do:<label>@<t>`,
+        a prefix no PDDL name can carry, so every variable keeps a name of
+        its own."""
+        nf, na = len(self.fluent_order), len(self.action_order)
+        offset = (self.horizon + 1) * nf
+        if 0 < var <= offset:
+            t, i = divmod(var - 1, nf)
+            return f"{self.fluent_order[i]}@{t}"
+        if 0 < var - offset <= self.horizon * na:
+            t, j = divmod(var - offset - 1, na)
+            label = self.action_order[j]
+            return f"do:{label}@{t}" if label in self._clashes else f"{label}@{t}"
+        return f"aux{var}"
 
 
 def _normal(clause: Sequence[int]) -> Clause:
@@ -75,19 +93,16 @@ def _normal(clause: Sequence[int]) -> Clause:
 
 
 def _step_clauses(
-    action: GroundAction,
-    t: int,
-    fvar: Callable[[GroundAtom, int], int],
-    avar: Callable[[str, int], int],
+    action: GroundAction, t: int, encoding: BoundedEncoding,
 ) -> Iterator[tuple[str, tuple[int, ...]]]:
     """(kind, clause) for the action's pre, add and del clauses at step t."""
-    av = avar(action.label, t)
+    av = encoding.action_var(action.label, t)
     for p in sorted(action.pre):
-        yield "pre", (-av, fvar(p, t))
+        yield "pre", (-av, encoding.fluent_var(p, t))
     for e in sorted(action.add):
-        yield "add", (-av, fvar(e, t + 1))
+        yield "add", (-av, encoding.fluent_var(e, t + 1))
     for e in sorted(action.delete):
-        yield "del", (-av, -fvar(e, t + 1))
+        yield "del", (-av, -encoding.fluent_var(e, t + 1))
 
 
 def encode_bounded(
@@ -111,38 +126,22 @@ def encode_bounded(
         act_labels = tuple(action_order)
     else:
         act_labels = tuple(a.label for a in problem.actions)
-    fl_index = {f: i for i, f in enumerate(fluents)}
-    act_index = {lbl: j for j, lbl in enumerate(act_labels)}
-    if not set(problem.fluents) <= set(fl_index):
+    if not set(problem.fluents) <= set(fluents):
         raise PlanningError("fluent_order does not cover the problem's fluents")
-    if not {a.label for a in problem.actions} <= set(act_index):
+    if not {a.label for a in problem.actions} <= set(act_labels):
         raise PlanningError("action_order does not cover the problem's actions")
-
-    nf, na = len(fluents), len(act_labels)
-    num_vars = (n + 1) * nf + n * na
-
-    def fvar(atom: GroundAtom, t: int) -> int:
-        return t * nf + fl_index[atom] + 1
-
-    def avar(label: str, t: int) -> int:
-        return (n + 1) * nf + t * na + act_index[label] + 1
-
-    fl_names = [f"{f}@{t}" for t in range(n + 1) for f in fluents]
-    act_names = [f"{lbl}@{t}" for t in range(n) for lbl in act_labels]
-    # an action labelled like a fluent is shown with a prefix that no PDDL
-    # name can carry, so every variable keeps a name of its own
-    clashes = set(act_labels) & set(map(str, fluents))
-    act_shown = [f"do:{name}" if lbl in clashes else name
-                 for name, lbl in zip(act_names, act_labels * n)]
+    num_vars = (n + 1) * len(fluents) + n * len(act_labels)
+    enc = BoundedEncoding(problem, n, CnfFormula((), num_vars), fluents, act_labels)
+    fluent_var, action_var = enc.fluent_var, enc.action_var
 
     own_actions = problem.actions  # already canonically sorted
-    adders: dict[GroundAtom, list[GroundAction]] = {f: [] for f in fluents}
-    deleters: dict[GroundAtom, list[GroundAction]] = {f: [] for f in fluents}
+    adders: dict[GroundAtom, list[str]] = {f: [] for f in fluents}
+    deleters: dict[GroundAtom, list[str]] = {f: [] for f in fluents}
     for a in own_actions:
         for f in sorted(a.add):
-            adders[f].append(a)
+            adders[f].append(a.label)
         for f in sorted(a.delete):
-            deleters[f].append(a)
+            deleters[f].append(a.label)
 
     clauses: dict[Clause, None] = {}  # insertion-ordered set
     notes: list[str] = []
@@ -157,43 +156,36 @@ def encode_bounded(
     own_fluents = set(problem.fluents)
     for f in fluents:
         if f in own_fluents:
-            emit((fvar(f, 0) if f in problem.init else -fvar(f, 0),), "init", 0)
+            v = fluent_var(f, 0)
+            emit((v if f in problem.init else -v,), "init", 0)
 
     for t in range(n):
         for a in own_actions:
-            for kind, clause in _step_clauses(a, t, fvar, avar):
+            for kind, clause in _step_clauses(a, t, enc):
                 emit(clause, kind, t)
+        act_at = {a.label: action_var(a.label, t) for a in own_actions}
         for f in fluents:
             if f not in own_fluents:
                 continue
-            causes_on = tuple(avar(a.label, t) for a in adders[f])
-            emit((fvar(f, t), -fvar(f, t + 1)) + causes_on, "frame_on", t)
-            causes_off = tuple(avar(a.label, t) for a in deleters[f])
-            emit((-fvar(f, t), fvar(f, t + 1)) + causes_off, "frame_off", t)
-        if own_actions:
-            emit(tuple(avar(a.label, t) for a in own_actions), "alo", t)
+            now, nxt = fluent_var(f, t), fluent_var(f, t + 1)
+            emit((now, -nxt) + tuple(act_at[a] for a in adders[f]), "frame_on", t)
+            emit((-now, nxt) + tuple(act_at[a] for a in deleters[f]), "frame_off", t)
+        vs = tuple(act_at.values())
+        if vs:
+            emit(vs, "alo", t)
         else:
             notes.append(f"at-least-one omitted at step {t}: no actions")
-        for i in range(len(own_actions)):
-            for j in range(i + 1, len(own_actions)):
-                emit((-avar(own_actions[i].label, t),
-                      -avar(own_actions[j].label, t)), "amo", t)
+        for i in range(len(vs)):
+            for j in range(i + 1, len(vs)):
+                emit((-vs[i], -vs[j]), "amo", t)
 
     if include_goal:
         for g in sorted(problem.goal):
-            emit((fvar(g, n),), "goal", n)
+            emit((fluent_var(g, n),), "goal", n)
 
-    return BoundedEncoding(
-        problem=problem,
-        horizon=n,
-        cnf=CnfFormula(tuple(clauses), num_vars),
-        fluent_vars={name: v for v, name in enumerate(fl_names, 1)},
-        action_vars={name: v for v, name in enumerate(act_names, len(fl_names) + 1)},
-        names=tuple(fl_names + act_shown),
-        fluent_order=fluents,
-        action_order=act_labels,
-        notes=tuple(notes),
-    )
+    enc.cnf = CnfFormula(tuple(clauses), num_vars)
+    enc.notes = tuple(notes)
+    return enc
 
 
 @dataclass(frozen=True)
@@ -220,7 +212,7 @@ def optimality_query(encoding: BoundedEncoding) -> OptimalityQuery:
         raise PlanningError("optimality needs a nonempty goal")
     if len(goal) == 1:
         g = goal[0]
-        lits = tuple(encoding.fluent_var(str(g), t) for t in range(n))
+        lits = tuple(encoding.fluent_var(g, t) for t in range(n))
         query = CnfFormula.from_clauses([(-v,) for v in lits], encoding.cnf.num_vars)
         return OptimalityQuery(query, (), ())
 
@@ -234,7 +226,7 @@ def optimality_query(encoding: BoundedEncoding) -> OptimalityQuery:
         lits.append(gv)
         back: list[int] = [gv]
         for f in goal:
-            fv = encoding.fluent_var(str(f), t)
+            fv = encoding.fluent_var(f, t)
             defs.append((-gv, fv))
             back.append(-fv)
         defs.append(tuple(back))
@@ -278,17 +270,13 @@ def check_feasibility(
         return FeasibilityResult(True)
     have = encoding.cnf.clause_set()
     by_label = {a.label: a for a in reference.problem.actions}
-
-    def fvar(atom: GroundAtom, t: int) -> int:
-        return reference.fluent_var(str(atom), t)
-
     missing: list[Clause] = []
     origins: list[ClauseOrigin] = []
     for t, a in enumerate(plan):
         action = by_label.get(a.label)
         if action is None:
             continue
-        for kind, clause in _step_clauses(action, t, fvar, reference.action_var):
+        for kind, clause in _step_clauses(action, t, reference):
             clause = _normal(clause)
             if clause not in have:
                 missing.append(clause)
@@ -296,23 +284,7 @@ def check_feasibility(
     return FeasibilityResult(False, tuple(missing), tuple(origins))
 
 
-def decode_model(encoding: BoundedEncoding, model: Sequence[bool]) -> Plan:
-    """Plan named by the model's true action variables, one per step."""
-    by_label = {a.label: a for a in encoding.problem.actions}
-    steps: list[GroundAction] = []
-    for t in range(encoding.horizon):
-        chosen = [
-            lbl for lbl in by_label
-            if model[encoding.action_var(lbl, t)]
-        ]
-        if len(chosen) != 1:
-            raise PlanningError(
-                f"model selects {len(chosen)} actions at step {t}, expected 1"
-            )
-        steps.append(by_label[chosen[0]])
-    return tuple(steps)
-
-
 def write_var_map(encoding: BoundedEncoding) -> str:
     """Sidecar text: `<variable> <name>@<t>` per line, variable-sorted."""
-    return "\n".join(f"{v} {name}" for v, name in enumerate(encoding.names, 1)) + "\n"
+    return "\n".join(f"{v} {encoding.name_of(v)}"
+                     for v in range(1, encoding.cnf.num_vars + 1)) + "\n"

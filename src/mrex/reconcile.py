@@ -166,10 +166,9 @@ def reconcile(problem: ReconcileProblem, *, timeout: float | None = None) -> Exp
         ws = workspace(total_vars, context + neg_clauses, candidates, budget=budget)
         while True:
             seed = min_hitting_set(instance, cancel=budget.check)
-            res = ws.solve_ids(sorted(seed))
-            if not res.satisfiable:
+            mcs = extract_mcs(ws, seed=seed)
+            if mcs is None:
                 break
-            mcs = extract_mcs(ws, seed=seed, first_result=res)
             instance.add_set(mcs.ids)
         epsilon = [candidates[i] for i in sorted(seed)]
         mus = extract_mus(workspace(total_vars, epsilon + neg_clauses, context,

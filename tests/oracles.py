@@ -12,7 +12,8 @@ falls back to the solver.  verify_by_probing is the verifier's plain
 reference: one solve per support clause, no model rotation.
 feasible_by_sat decides plan feasibility on the bounded encoding instead of
 simulating the plan.  All three import mrex inside the function, so
-importing this module stays solver-free.
+importing this module stays solver-free.  decode_model reads the plan off a
+model of the bounded encoding for the encoder's own tests.
 """
 
 from __future__ import annotations
@@ -230,9 +231,25 @@ def feasible_by_sat(encoding, plan) -> bool:
 
     n = encoding.horizon
     assumptions = [encoding.action_var(a.label, t) for t, a in enumerate(plan)]
-    assumptions += [encoding.fluent_var(str(g), n) for g in sorted(encoding.problem.goal)]
+    assumptions += [encoding.fluent_var(g, n) for g in sorted(encoding.problem.goal)]
     session = workspace(encoding.cnf.num_vars, encoding.cnf.clauses)
     return session.solve(assumptions).satisfiable
+
+
+def decode_model(encoding, model: Sequence[bool]) -> tuple:
+    """Plan named by the model's true action variables, one per step."""
+    from mrex.planning import PlanningError
+
+    by_label = {a.label: a for a in encoding.problem.actions}
+    steps = []
+    for t in range(encoding.horizon):
+        chosen = [lbl for lbl in by_label if model[encoding.action_var(lbl, t)]]
+        if len(chosen) != 1:
+            raise PlanningError(
+                f"model selects {len(chosen)} actions at step {t}, expected 1"
+            )
+        steps.append(by_label[chosen[0]])
+    return tuple(steps)
 
 
 def plan_dynamics_clauses(encoding, plan) -> list[Clause]:
@@ -242,9 +259,9 @@ def plan_dynamics_clauses(encoding, plan) -> list[Clause]:
     out: list[Clause] = []
     for t, a in enumerate(plan):
         act = encoding.action_var(a.label, t)
-        lits = [encoding.fluent_var(str(p), t) for p in sorted(a.pre)]
-        lits += [encoding.fluent_var(str(e), t + 1) for e in sorted(a.add)]
-        lits += [-encoding.fluent_var(str(e), t + 1) for e in sorted(a.delete)]
+        lits = [encoding.fluent_var(p, t) for p in sorted(a.pre)]
+        lits += [encoding.fluent_var(e, t + 1) for e in sorted(a.add)]
+        lits += [-encoding.fluent_var(e, t + 1) for e in sorted(a.delete)]
         out += [tuple(sorted((-act, lit), key=abs)) for lit in lits]
     return out
 

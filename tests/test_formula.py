@@ -182,7 +182,6 @@ def test_intersect_is_syntactic():
 def test_negate_unit_conjunction_single_clause():
     q = CnfFormula.from_clauses([(-5,), (-6,)])
     neg = negate_query(q, 7)
-    assert neg.single_clause
     assert neg.clauses == ((5, 6),)
     assert len(neg.aux_vars) == 0
 
@@ -190,8 +189,8 @@ def test_negate_unit_conjunction_single_clause():
 def test_negate_general_query_structure():
     q = CnfFormula.from_clauses([(1, 2), (3, 4)])
     neg = negate_query(q, 5)
-    assert not neg.single_clause
     assert neg.aux_vars == range(5, 7)
+    assert len(neg.clauses) == 5
     expected = {(-1, -5), (-2, -5), (-3, -6), (-4, -6), (5, 6)}
     assert set(neg.clauses) == expected
 

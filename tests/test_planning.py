@@ -25,7 +25,6 @@ from mrex.planning import (
     PddlParseError,
     StateCapError,
     check_feasibility,
-    decode_model,
     encode_bounded,
     ground,
     optimal_plan_search,
@@ -41,7 +40,7 @@ from mrex.planning import (
 from mrex.planning.ground import objects_of_type
 
 from oracles import (
-    brute_force_min_update, feasible_by_sat, plan_dynamics_clauses,
+    brute_force_min_update, decode_model, feasible_by_sat, plan_dynamics_clauses,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -333,8 +332,7 @@ class TestEncoding:
             tweaked.problem, 2, include_goal=False,
             fluent_order=enc_a.fluent_order, action_order=enc_a.action_order,
         )
-        assert enc_h.fluent_vars == enc_a.fluent_vars
-        assert enc_h.action_vars == enc_a.action_vars
+        assert write_var_map(enc_h) == write_var_map(enc_a)
         # Scenario 1 only drops precondition clauses: KB_h ⊂ KB_a exactly
         # by the logged removals, at every step.
         diff = set(enc_a.cnf.clauses) - set(enc_h.cnf.clauses)
@@ -344,8 +342,8 @@ class TestEncoding:
             if rec.kind != "pre":
                 continue
             for t in range(2):
-                av = enc_a.action_vars[f"{rec.action}@{t}"]
-                fv = enc_a.fluent_vars[f"{rec.atom}@{t}"]
+                av = enc_a.action_var(rec.action, t)
+                fv = enc_a.fluent_var(GroundAtom.parse(rec.atom), t)
                 expected.add(tuple(sorted((-av, fv), key=abs)))
         assert diff == expected
 
@@ -357,11 +355,43 @@ class TestEncoding:
     def test_var_map_sidecar(self):
         problem = ground(parse_pddl(CHAIN_DOMAIN, CHAIN_PROBLEM))
         enc = encode_bounded(problem, 2, include_goal=False)
-        lines = write_var_map(enc).splitlines()
-        assert len(lines) == len(enc.fluent_vars) + len(enc.action_vars)
-        parsed = {int(v): name for v, name in (l.split(" ", 1) for l in lines)}
-        assert parsed == {v: k for table in (enc.fluent_vars, enc.action_vars)
-                          for k, v in table.items()}
+        text = write_var_map(enc)
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        parsed = [l.split(" ", 1) for l in text.splitlines()]
+        assert [int(v) for v, _ in parsed] == list(range(1, enc.cnf.num_vars + 1))
+        named = {f"{f}@{t}": enc.fluent_var(f, t)
+                 for t in range(3) for f in enc.fluent_order}
+        named.update({f"{a}@{t}": enc.action_var(a, t)
+                      for t in range(2) for a in enc.action_order})
+        assert {int(v): name for v, name in parsed} == {v: k for k, v in named.items()}
+
+    def test_numbering_rejects_steps_and_names_outside_the_encoding(self):
+        problem = ground(parse_pddl(BLOCKS, SUSSMAN))
+        enc = encode_bounded(problem, 3, include_goal=False)
+        atom, label = enc.fluent_order[0], enc.action_order[0]
+        assert enc.fluent_var(atom, 3) and enc.action_var(label, 2)
+        for bad in (lambda: enc.fluent_var(atom, -1),
+                    lambda: enc.fluent_var(atom, enc.horizon + 1),
+                    lambda: enc.action_var(label, -1),
+                    lambda: enc.action_var(label, enc.horizon),
+                    lambda: enc.fluent_var(GroundAtom("on", ("a", "z")), 0),
+                    lambda: enc.fluent_var(str(atom), 0),
+                    lambda: enc.action_var("fly(a)", 0)):
+            with pytest.raises(PlanningError, match="unknown name"):
+                bad()
+
+    def test_numbering_names_every_sussman_variable_once(self):
+        problem = ground(parse_pddl(BLOCKS, SUSSMAN))
+        enc = encode_bounded(problem, 3, include_goal=True)
+        fluents = [enc.fluent_var(f, t) for t in range(4) for f in enc.fluent_order]
+        actions = [enc.action_var(a, t) for t in range(3) for a in enc.action_order]
+        assert sorted(fluents + actions) == list(range(1, enc.cnf.num_vars + 1))
+        assert [enc.name_of(v) for v in fluents] == [
+            f"{f}@{t}" for t in range(4) for f in enc.fluent_order]
+        assert [enc.name_of(v) for v in actions] == [
+            f"{a}@{t}" for t in range(3) for a in enc.action_order]
+        assert enc.name_of(0) == "aux0"
+        assert enc.name_of(enc.cnf.num_vars + 1) == f"aux{enc.cnf.num_vars + 1}"
 
 
 class TestOptimalityQuery:
@@ -369,7 +399,7 @@ class TestOptimalityQuery:
         problem = ground(parse_pddl(BLOCKS, TWO_BLOCKS))
         enc = encode_bounded(problem, 2, include_goal=False)
         oq = optimality_query(enc)
-        gv = [enc.fluent_vars[f"on(a,b)@{t}"] for t in range(2)]
+        gv = [enc.fluent_var(GroundAtom("on", ("a", "b")), t) for t in range(2)]
         assert list(oq.query.clauses) == [(-gv[0],), (-gv[1],)]
         assert oq.definitions == ()
 
@@ -383,7 +413,7 @@ class TestOptimalityQuery:
         # Definitional equivalence: g_t true exactly when both goal fluents are.
         goal = sorted(problem.goal)
         for (gv, _name), t in zip(oq.new_names, range(2)):
-            fvs = [enc.fluent_vars[f"{f}@{t}"] for f in goal]
+            fvs = [enc.fluent_var(f, t) for f in goal]
             step_defs = [c for c in oq.definitions if gv in c or -gv in c]
             for bits in itertools.product([False, True], repeat=3):
                 value = dict(zip([gv] + fvs, bits))
@@ -419,13 +449,12 @@ class TestOptimalityQuery:
         (define (problem clash-2) (:domain clash) (:objects) (:init) (:goal (done)))
         """))
         enc = encode_bounded(problem, 2, include_goal=False)
-        fluent = [enc.fluent_var("done", t) for t in range(2)]
+        fluent = [enc.fluent_var(GroundAtom("done"), t) for t in range(2)]
         action = [enc.action_var("done", t) for t in range(2)]
         assert fluent == [1, 3] and action == [7, 9]
         assert [enc.name_of(v) for v in fluent + action] == [
             "done@0", "done@1", "do:done@0", "do:done@1"]
         assert enc.name_of(2) == "p@0" and enc.name_of(8) == "set-p@0"
-        assert len(set(enc.names)) == len(enc.names) == 10
         lines = write_var_map(enc).splitlines()
         names = [line.split(" ", 1)[1] for line in lines]
         assert len(set(names)) == len(lines) == 10
@@ -665,7 +694,7 @@ class TestEndToEnd:
         assert "feasibility feasible=true missing=0" in result.report.records
         enc_a, expl, problem = result.encoding, result.explanation, result.problem
         pre_clause = tuple(sorted(
-            (-enc_a.action_vars["finish@0"], enc_a.fluent_vars["p@0"]), key=abs
+            (-enc_a.action_var("finish", 0), enc_a.fluent_var(GroundAtom("p"), 0)), key=abs
         ))
         assert expl.update == (pre_clause,)
         size, _ = brute_force_min_update(problem)
