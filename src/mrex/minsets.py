@@ -83,35 +83,44 @@ def extract_mcs(ws: SatSession, seed: Iterable[int] = ()) -> McsResult | None:
 
     Linear search: grow a satisfiable subset from the seed in ascending
     position order, admitting for free every clause the current model already
-    satisfies; the complement of the final subset is the MCS.  Each probe
-    lists the kept clauses in the order they joined and the probe last:
-    SatSession.solve places assumptions in the caller's order, so a refuted
-    probe leaves the kept clauses' levels up to its backjump on the trail
-    for the next probe.  The last untested probe goes in ascending position
-    among the kept clauses instead, as no later probe would reuse levels
-    placed ahead of it.
+    satisfies; the complement of the final subset is the MCS.  The seed test
+    solves with the seed as a list, which keeps the session's placed levels
+    that the seed still assumes.  From then on the kept clauses live on the
+    session's assumption stack in the order they joined: each probe pushes
+    its one clause and solves, so a refuted probe pops that clause alone and
+    leaves the kept clauses' levels up to its backjump on the trail for the
+    next probe, and a satisfiable one stays, with the clauses its model
+    admits pushed after it.  A model admits only clauses above its probe:
+    an earlier refuted probe stays refuted, as the kept set only grows.  The
+    last untested probe solves with a list in ascending position order
+    instead, as no later probe would reuse levels placed ahead of it.
     """
     order = sorted(seed)
     kept = set(order)
     res = ws.solve_ids(order)
     if not res.satisfiable:
         return None
-    admitted = ws.satisfied_ids(res.model, kept)
-    order += admitted
+    admitted = ws.satisfied_ids(res.model, kept, 0)
+    ws.push_ids(admitted)
     kept.update(admitted)
     untested = len(ws.soft) - len(kept)
     for i in range(len(ws.soft)):
         if i in kept:
             continue
         untested -= 1
-        probe = order + [i]
-        r = ws.solve_ids(probe if untested else sorted(probe))
+        if untested:
+            ws.push_ids((i,))
+            r = ws.solve_ids(None)
+        else:
+            r = ws.solve_ids(sorted([*kept, i]))
         if r.satisfiable:
             kept.add(i)
-            admitted = ws.satisfied_ids(r.model, kept)
-            order = probe + admitted
+            admitted = ws.satisfied_ids(r.model, kept, i + 1)
+            ws.push_ids(admitted)
             kept.update(admitted)
             untested -= len(admitted)
+        elif untested:
+            ws.pop(1)
     mcs = frozenset(range(len(ws.soft))) - kept
     if not mcs:
         raise NothingToCorrectError("hard and soft clauses are jointly satisfiable")

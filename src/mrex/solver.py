@@ -10,21 +10,29 @@ address soft clauses by position: solve_ids, core_ids and satisfied_ids
 translate to and from selectors.  Solving is deterministic: identical
 session histories produce identical answers, models, and conflict subsets.
 
-Each assumption takes one decision level.  A solve keeps the longest prefix
-of the previous solve's assumption levels whose literals it still assumes,
-and assumes the rest after them in the order the caller lists them; an
-answer leaves the trail at the level it was found on (van der Tak, Ramos &
-Heule, "Reusing the Assignment Trail in CDCL Solvers", JSAT 2011).  So a
-caller that grows one assumption set, as MCS extraction does, pays one
-level per new literal, not one per literal.  A conflict reached while the
-trail holds only assumption levels is learnt and backjumped over as usual,
-and then answers UNSAT at once: the assumptions that propagation used to
-reach it are the conflict subset, and the learnt clause's asserting literal
-waits on the trail for the next solve to propagate.  So a caller that lists
-the literal it tests last keeps, when the test fails, every level up to the
-backjump.  One walk over a clause's literals both checks and loads it, so a
-malformed clause raises before the session changes.  Adding a clause, and
-reducing the learnt clauses, start from level 0.
+The session owns an assumption stack, bottom first, and each entry takes
+one decision level, in stack order (Een & Sorensson, "An Extensible
+SAT-solver", SAT 2003; Nadel & Ryvchin, "Efficient SAT Solving under
+Assumptions", SAT 2012).  push_ids checks each soft clause position once,
+when it is pushed, and raises before the stack changes; pop drops entries
+and backtracks below the levels it drops; solve(None) solves under the stack
+as it stands.  An answer leaves the trail at the level it was found on, so
+the next solve keeps every placed level and places only the entries pushed
+since (van der Tak, Ramos & Heule, "Reusing the Assignment Trail in CDCL
+Solvers", JSAT 2011).  solve(assumptions) is prefix matching on top of the
+stack: it keeps the longest prefix of placed entries that it still assumes,
+pops the rest and pushes the remaining literals in the order the caller
+lists them; only the pushed literals are checked.  So a caller that grows
+one assumption set, as MCS extraction does, pays one level per new literal,
+not one per literal.  A conflict reached while the trail holds only
+assumption levels is learnt and backjumped over as usual, and then answers
+UNSAT at once: the assumptions that propagation used to reach it are the
+conflict subset, and the learnt clause's asserting literal waits on the
+trail for the next solve to propagate.  So a caller that pushes the literal
+it tests last keeps, when the test fails, every level up to the backjump.
+One walk over a clause's literals both checks and loads it, so a malformed
+clause raises before the session changes.  Adding a clause, and reducing
+the learnt clauses, start from level 0.
 
 Each decision branches on the unassigned problem variable of largest VSIDS
 activity, the smallest variable among ties.  Selectors are never decided
@@ -54,7 +62,8 @@ reduction treat both alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from operator import neg
+from typing import TYPE_CHECKING, Container, Iterable
 
 if TYPE_CHECKING:
     from .minsets import Budget
@@ -116,9 +125,11 @@ class SatSession:
     """
 
     def __init__(self, num_vars: int, budget: Budget | None = None):
-        # Per-variable arrays, entry 0 unused; _assign holds +1 true, -1
-        # false, 0 unassigned.
-        self._nvars = num_vars
+        # CPython 3.11 keeps at most 29 instance attributes inline, and a
+        # 30th slows every attribute access of the session, so it holds 29.
+        # Per-variable arrays, entry 0 unused, one entry per problem
+        # variable and selector; _assign holds +1 true, -1 false, 0
+        # unassigned.
         self._assign: list[int] = [0] * (num_vars + 1)
         self._level: list[int] = [0] * (num_vars + 1)
         self._reason: list[list[int] | None] = [None] * (num_vars + 1)
@@ -140,10 +151,14 @@ class SatSession:
         self._n_problem_clauses = 0
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
-        # The last solve's assumptions in the order it assumed them; trail
-        # levels 1..len(_assumed), as far as the trail reaches, are their
-        # assumption levels.
+        # The assumption stack, bottom first, and the set of its literals.
+        # _placed counts the entries that the last solve assumed, less those
+        # popped since: trail levels 1..min(_placed, len(_trail_lim)) are
+        # their assumption levels, and an entry pushed after an answer is
+        # not placed, whatever decision levels that answer left.
         self._assumed: list[int] = []
+        self._on_stack: set[int] = set()
+        self._placed = 0
         self._qhead = 0
         self._var_inc = 1.0
         self._ok = True
@@ -157,8 +172,7 @@ class SatSession:
         self.propagations = 0
 
     def _new_var(self) -> int:
-        self._nvars += 1
-        v = self._nvars
+        v = len(self._assign)
         self._assign.append(0)
         self._level.append(0)
         self._reason.append(None)
@@ -182,30 +196,67 @@ class SatSession:
         self.soft.append(lits)
         return s
 
-    def solve_ids(self, ids: Iterable[int]) -> SolveResult:
-        """Solve with the soft clauses at these positions switched on; a
-        position outside range(len(self.soft)) is a usage error."""
+    def _selectors(self, ids: Iterable[int]) -> list[int]:
+        """The selectors of the soft clauses at these positions; a position
+        outside range(len(self.soft)) is a usage error."""
         base = self.num_vars + 1
-        selectors = [base + i for i in ids]
+        selectors = list(map(base.__add__, ids))
         if selectors:
             low, high = min(selectors), max(selectors)
             if low < base or high >= base + len(self.soft):
                 bad = low - base if low < base else high - base
                 raise SolverUsageError(f"soft clause id {bad} is out of range")
+        return selectors
+
+    def solve_ids(self, ids: Iterable[int] | None) -> SolveResult:
+        """Solve with the soft clauses at these positions switched on, or,
+        for None, under the assumption stack as it stands."""
+        selectors = None if ids is None else self._selectors(ids)
         if self.budget is not None:
             self.budget.check()
             self.budget.calls += 1
         return self.solve(selectors)
+
+    def push_ids(self, ids: Iterable[int]) -> None:
+        """Push the selectors of the soft clauses at these positions onto
+        the assumption stack, in order.  A position out of range or already
+        on the stack is a usage error, raised before the stack changes."""
+        selectors = self._selectors(ids)
+        on = self._on_stack
+        size = len(on)
+        on.update(selectors)
+        if len(on) - size < len(selectors):  # a position twice, or pushed before
+            self._on_stack = set(self._assumed)
+            seen = set(self._on_stack)
+            bad = next(x for x in selectors if x in seen or seen.add(x))
+            raise SolverUsageError(
+                f"soft clause id {bad - self.num_vars - 1} is pushed twice")
+        self._assumed += selectors
+
+    def pop(self, k: int) -> None:
+        """Drop the top k entries of the assumption stack, and the trail
+        levels above the entries left."""
+        stack = self._assumed
+        n = len(stack) - k
+        if k < 0 or n < 0:
+            raise SolverUsageError(f"cannot pop {k} of {len(stack)} assumptions")
+        self._on_stack.difference_update(stack[n:])
+        del stack[n:]
+        if self._placed > n:
+            self._placed = n
+            self._backtrack(n)
 
     def core_ids(self, result: SolveResult) -> set[int]:
         """Positions of the soft clauses in an UNSAT answer's conflict subset."""
         base = self.num_vars + 1
         return {x - base for x in result.conflict_subset if x >= base}
 
-    def satisfied_ids(self, model: tuple[bool, ...], skip: set[int]) -> list[int]:
-        """Positions outside skip whose soft clause the model satisfies."""
+    def satisfied_ids(self, model: tuple[bool, ...], skip: Container[int],
+                      start: int) -> list[int]:
+        """Positions from start on, outside skip, whose soft clause the
+        model satisfies."""
         out = []
-        for i, clause in enumerate(self.soft):
+        for i, clause in enumerate(self.soft[start:], start):
             if i in skip:
                 continue
             for l in clause:
@@ -375,13 +426,13 @@ class SatSession:
         self._stale = True
         if activity[v] > 1e100:
             scale = 1e-100
-            for u in range(1, self._nvars + 1):
+            for u in range(1, len(activity)):
                 activity[u] *= scale
             self._var_inc *= scale
 
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         """1UIP conflict analysis; returns (learnt clause, backtrack level)."""
-        seen = bytearray(self._nvars + 1)
+        seen = bytearray(len(self._assign))
         learnt: list[int] = [0]
         level = self._level
         reason = self._reason
@@ -432,7 +483,7 @@ class SatSession:
         level = self._level
         reason = self._reason
         trail = self._trail
-        seen = bytearray(self._nvars + 1)
+        seen = bytearray(len(self._assign))
         pending = 0
         for q in lits:
             v = q if q > 0 else -q
@@ -510,13 +561,48 @@ class SatSession:
         for wl in self._watches.values():
             wl[:] = [c for c in wl if c]
 
-    def solve(self, assumptions: Iterable[int] = ()) -> SolveResult:
-        """Solve under the assumption literals.
+    def _assume(self, assumptions: Iterable[int], depth: int) -> int:
+        """Make the stack hold the assumption literals: keep the longest
+        prefix of its first depth entries that they all hold, pop the rest
+        and push the others in the caller's order, once each.  The literals
+        it pushes are checked first, so a bad one raises before the stack
+        changes.  Returns the smallest literal whose complement is also
+        assumed, or 0."""
+        assumps = list(assumptions)
+        aset = set(assumps)  # also the stack's literals once this returns
+        if len(aset) < len(assumps):
+            assumps = list(dict.fromkeys(assumps))
+        stack = self._assumed
+        if assumps[:depth] == stack[:depth]:  # the caller extends the kept levels
+            rest = assumps[depth:]
+        else:
+            k = 0
+            while k < depth and stack[k] in aset:
+                k += 1
+            kept = set(stack[:k])
+            rest = [a for a in assumps if a not in kept]
+            depth = k
+        nvars = len(self._assign) - 1
+        if rest and (min(rest) < -nvars or max(rest) > nvars or 0 in rest):
+            bad = next(a for a in rest if a == 0 or abs(a) > nvars)
+            raise SolverUsageError(f"assumption {bad} references an unregistered variable")
+        del stack[depth:]
+        stack += rest
+        self._on_stack = aset
+        if self._placed > depth:
+            self._placed = depth
+        # the kept prefix is clash-free: its literals are true on the trail
+        if aset.isdisjoint(map(neg, rest)):
+            return 0
+        return -max(abs(a) for a in rest if -a in aset)
 
-        The trail keeps the longest prefix of the previous solve's
-        assumption levels whose literals are all still assumed; the other
-        assumptions follow in the order the caller lists them, one decision
-        level each.  A conflict reached while the trail holds only
+    def solve(self, assumptions: Iterable[int] | None = ()) -> SolveResult:
+        """Solve under the assumption literals, or, for None, under the
+        assumption stack as it stands.
+
+        The trail keeps the longest prefix of placed stack entries that are
+        all still assumed; the other assumptions follow in stack order, one
+        decision level each.  A conflict reached while the trail holds only
         assumption levels is learnt and backjumped as any other, and then
         answers UNSAT with the assumptions that propagation used to reach
         it.  An answer leaves the trail where it stands, so the next solve
@@ -524,35 +610,19 @@ class SatSession:
         and the caller's lists, so identical histories give identical
         answers.
         """
-        assumps = list(assumptions)
-        aset = set(assumps)
-        if len(aset) != len(assumps):
-            assumps = list(dict.fromkeys(assumps))
-        for a in aset:
-            if a == 0 or abs(a) > self._nvars:
-                raise SolverUsageError(f"assumption {a} references an unregistered variable")
         # Reduce here too, or solves that never restart keep every learnt.
         max_learnts = max(_MIN_LEARNTS, 2 * self._n_problem_clauses)
         reduce = len(self._learnts) > max_learnts
-        assumed = self._assumed
         # a due reduction keeps no level: _reduce_db runs at level 0
-        depth = 0 if reduce else min(len(self._trail_lim), len(assumed))
-        if assumps[:depth] == assumed[:depth]:  # the caller extends the kept levels
-            k = depth
-        else:
-            k = 0
-            while k < depth and assumed[k] in aset:
-                k += 1
-            kept = assumed[:k]
-            kept_set = set(kept)
-            assumps = kept + [a for a in assumps if a not in kept_set]
-        self._backtrack(k)
+        keep = 0 if reduce else min(self._placed, len(self._trail_lim))
+        clash = 0 if assumptions is None else self._assume(assumptions, keep)
+        self._backtrack(min(keep, self._placed))  # _assume may keep fewer
         if not self._ok:
             return SolveResult(False, conflict_subset=frozenset())
-        clash = min((a for a in aset if a < 0 and -a in aset), default=0)
         if clash:
             return SolveResult(False, conflict_subset=frozenset((clash, -clash)))
-        self._assumed = assumps
+        assumps = self._assumed
+        self._placed = len(assumps)
 
         if reduce:
             self._reduce_db()
@@ -614,7 +684,7 @@ class SatSession:
                 if v == 0:
                     model = tuple(map((1).__eq__, assign))
                     if check_models:
-                        self._audit(model, aset)
+                        self._audit(model, self._on_stack)
                     return SolveResult(True, model=model)
                 self.decisions += 1
                 lit = v if phase[v] else -v

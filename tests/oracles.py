@@ -6,13 +6,15 @@ independent of the package's CDCL search, linear MCS scans, and deletion MUS
 loops.  Practical only for small variable counts, which is what the
 randomized test families use.
 
-Three exceptions use the package's SAT solver.  brute_force_min_update
+Four exceptions use the package's SAT solver.  brute_force_min_update
 takes the package's consistency repair as given, and above 20 variables it
 falls back to the solver.  verify_by_probing is the verifier's plain
 reference: one solve per support clause, no model rotation.
-feasible_by_sat decides plan feasibility on the bounded encoding instead of
-simulating the plan.  All three import mrex inside the function, so
-importing this module stays solver-free.  decode_model reads the plan off a
+extract_mcs_by_lists is the MCS search's reference: the same probes, each
+handing the session its whole assumption list.  feasible_by_sat decides
+plan feasibility on the bounded encoding instead of simulating the plan.
+All four import mrex inside the function, so importing this module stays
+solver-free.  decode_model reads the plan off a
 model of the bounded encoding for the encoder's own tests.
 """
 
@@ -221,6 +223,42 @@ def verify_by_probing(kb_h: Iterable[Clause], support: Iterable[Clause], query):
             minimal = False
             failures.append(f"support clause {support[i]} is redundant")
     return VerificationReport(entailed, minimal, consistent, tuple(failures))
+
+
+def extract_mcs_by_lists(ws, seed: Iterable[int] = ()):
+    """extract_mcs with no assumption stack: every probe passes the session
+    the kept clauses in the order they joined and the probe last, the last
+    untested probe in ascending position order, and every model's admitted
+    clauses come from a scan of all soft clauses.  SatSession.solve keeps
+    the placed levels that a list still assumes, so this makes the same
+    solves, in the same order, from the same levels as extract_mcs."""
+    from mrex.minsets import McsResult, NothingToCorrectError
+
+    order = sorted(seed)
+    kept = set(order)
+    res = ws.solve_ids(order)
+    if not res.satisfiable:
+        return None
+    admitted = ws.satisfied_ids(res.model, kept, 0)
+    order += admitted
+    kept.update(admitted)
+    untested = len(ws.soft) - len(kept)
+    for i in range(len(ws.soft)):
+        if i in kept:
+            continue
+        untested -= 1
+        probe = order + [i]
+        r = ws.solve_ids(probe if untested else sorted(probe))
+        if r.satisfiable:
+            kept.add(i)
+            admitted = ws.satisfied_ids(r.model, kept, 0)
+            order = probe + admitted
+            kept.update(admitted)
+            untested -= len(admitted)
+    mcs = frozenset(range(len(ws.soft))) - kept
+    if not mcs:
+        raise NothingToCorrectError("hard and soft clauses are jointly satisfiable")
+    return McsResult(mcs)
 
 
 def feasible_by_sat(encoding, plan) -> bool:

@@ -23,6 +23,8 @@ from mrex.reconcile import GENERAL, RESTRICTED, ReconcileProblem, ReconcileTimeo
 from mrex.solver import SatSession, SolverUsageError
 
 from oracles import (
+    extract_mcs_by_lists,
+    random_reconcile_instance,
     random_unsat_soft,
     tt_all_mcses,
     tt_all_muses,
@@ -264,11 +266,18 @@ def test_mcs_test_keeps_the_seed_assumption_levels(monkeypatch):
                      (False, 1, 3, True), (True, 1, 4, False)]
 
 
+def _sussman_4_restricted():
+    data = Path(__file__).parent / "data"
+    return run_explain_plan(RunConfig(
+        command="explain-plan", mode=RESTRICTED, seed=0, scenario=4,
+        inputs=(str(data / "blocksworld.pddl"), str(data / "sussman.pddl"))))
+
+
 def test_hitting_set_loop_session_counters_on_sussman_scenario_4(monkeypatch):
     """Restricted Sussman scenario 4 (seed 0): the session of the
-    hitting-set loop opens at most 41 752 assumption levels and makes at
-    most 48 905 propagations, 51 576 and 62 680 before MCS probes went
-    last and a conflict under assumptions answered at once."""
+    hitting-set loop opens 41 752 assumption levels and makes 48 905
+    propagations, 51 576 and 62 680 before MCS probes went last and a
+    conflict under assumptions answered at once."""
     monkeypatch.setattr(minsets, "check_minimality", False)  # audits solve too
     sessions = []
     real = reconcile_module.extract_mcs
@@ -279,14 +288,57 @@ def test_hitting_set_loop_session_counters_on_sussman_scenario_4(monkeypatch):
         return real(ws, *args, **kwargs)
 
     monkeypatch.setattr(reconcile_module, "extract_mcs", extract_mcs_logged)
-    data = Path(__file__).parent / "data"
-    result = run_explain_plan(RunConfig(
-        command="explain-plan", mode=RESTRICTED, seed=0, scenario=4,
-        inputs=(str(data / "blocksworld.pddl"), str(data / "sussman.pddl"))))
+    result = _sussman_4_restricted()
     assert len(result.explanation.update) == 39 and result.verification.ok
     (ws,) = sessions
-    assert ws.assumption_levels <= 41752
-    assert ws.propagations <= 48905
+    assert ws.assumption_levels == 41752
+    assert ws.propagations == 48905
+    assert ws.decisions == 5759
+    assert ws.conflicts == 152
+
+
+def _with_each_mcs_search(monkeypatch, run) -> list[tuple]:
+    """run() once with extract_mcs and once with extract_mcs_by_lists in
+    reconcile's place.  For each: the MCSes in call order, the counters of
+    every session they ran on, and the run's result."""
+    out = []
+    for extract in (extract_mcs, extract_mcs_by_lists):
+        found, sessions = [], []
+
+        def logged(ws, *args, extract=extract, found=found, sessions=sessions, **kwargs):
+            mcs = extract(ws, *args, **kwargs)
+            found.append(mcs)
+            if ws not in sessions:
+                sessions.append(ws)
+            return mcs
+
+        monkeypatch.setattr(reconcile_module, "extract_mcs", logged)
+        result = run()
+        counters = [(ws.decisions, ws.conflicts, ws.propagations,
+                     ws.assumption_levels, ws.budget.calls) for ws in sessions]
+        out.append((found, counters, result))
+    return out
+
+
+def test_stack_search_matches_the_list_search(monkeypatch):
+    """On acceptance criterion 2's 200 random instances and on the
+    restricted Sussman scenario 4 loop, extract_mcs on the assumption stack
+    finds the MCSes of the list-based search and leaves every session it
+    ran on with the same solver counters and oracle calls."""
+    monkeypatch.setattr(minsets, "check_minimality", False)  # audits solve too
+    rng = random.Random(20260814)
+    searches = 0
+    for trial in range(200):
+        kb_a, kb_h, query = (CnfFormula.from_clauses(c, num_vars=8)
+                             for c in random_reconcile_instance(rng))
+        problem = ReconcileProblem(kb_a, kb_h, query)
+        stack, lists = _with_each_mcs_search(monkeypatch, lambda: reconcile(problem))
+        assert stack == lists, trial
+        searches += len(stack[0])
+    assert searches >= 400
+    stack, lists = _with_each_mcs_search(monkeypatch, _sussman_4_restricted)
+    assert stack[:2] == lists[:2]
+    assert len(stack[0]) == 62 and len(stack[1]) == 2
 
 
 # q=4 follows from the chain x1, x1->x2, x2->x3, x3->q; kb_h lacks x2->x3

@@ -75,7 +75,7 @@ def test_a_rejected_clause_leaves_the_session_unchanged():
         for clause in ((1, -1), (0,), (2, 2), (3, 5), (1, "2")):
             with pytest.raises(SolverUsageError):
                 add(clause)
-    assert (len(s.hard), len(s.soft), s._nvars) == (1, 1, 5)
+    assert (len(s.hard), len(s.soft), len(s._assign)) == (1, 1, 6)
     assert s.solve([sel, 2, -3]).satisfiable
     assert s.assumption_levels == levels
     assert s.add_soft((4,)) == sel + 1
@@ -204,7 +204,7 @@ def test_model_is_total_over_registered_vars():
     s.add_hard((2,))
     res = s.solve()
     assert res.satisfiable
-    assert len(res.model) == s._nvars + 1
+    assert len(res.model) == len(s._assign)
 
 
 def test_incremental_additions_between_solves():
@@ -494,6 +494,105 @@ def test_a_solve_keeps_the_assumption_levels_still_assumed():
     assert s.assumption_levels == 10
     assert s.solve([-1, 4, 6, 7]).satisfiable
     assert s.assumption_levels == 10
+
+
+def _stack_state(s: SatSession) -> tuple:
+    return (list(s._assumed), set(s._on_stack), list(s._trail), list(s._trail_lim))
+
+
+def test_push_ids_checks_a_batch_before_the_stack_changes():
+    """A position out of range or pushed twice anywhere in a batch raises,
+    and the stack, its set and the trail stay as they were."""
+    s = SatSession(3)
+    s.add_hard((1, 2))
+    for c in ((1,), (2,), (3,)):
+        s.add_soft(c)
+    s.push_ids([0])
+    assert s.solve(None).satisfiable
+    before = _stack_state(s)
+    for batch, bad in (([1, 3], "3"), ([1, -1], "-1"), ([2, 0], "0"), ([1, 2, 1], "1")):
+        with pytest.raises(SolverUsageError, match=f"soft clause id {bad} "):
+            s.push_ids(batch)
+        assert _stack_state(s) == before
+    s.push_ids([1, 2])
+    assert s._assumed == [4, 5, 6]
+
+
+def test_pop_beyond_the_stack_raises():
+    s = SatSession(2)
+    s.add_soft((1,))
+    s.add_soft((2,))
+    s.push_ids([0, 1])
+    assert s.solve(None).satisfiable
+    before = _stack_state(s)
+    for k in (3, -1):
+        with pytest.raises(SolverUsageError):
+            s.pop(k)
+        assert _stack_state(s) == before
+    s.pop(2)
+    assert s._assumed == [] and not s._trail_lim
+
+
+def test_a_push_after_a_model_opens_one_level_above_the_placed_ones():
+    """A SAT answer leaves decision levels above the assumption levels.
+    An entry pushed after it is not placed: the next solve keeps only the
+    assumption levels, drops the decisions and opens one level, and it
+    answers as a fresh session does; a failed push opens no level.  The
+    model audit (on in tests) checks that every pushed clause holds."""
+    clauses = [(-1, 2), (-3, -4), (4, 5, 6)]
+    soft = [(1,), (3,), (-2,), (-5,)]
+
+    def session():
+        s = SatSession(6)
+        for c in clauses:
+            s.add_hard(c)
+        for c in soft:
+            s.add_soft(c)
+        return s
+
+    s = session()
+    s.push_ids([0])
+    assert s.solve(None).satisfiable
+    assert len(s._trail_lim) > len(s._assumed) == 1  # decisions left on the trail
+    for i, sat, opened in ((1, True, 1), (3, True, 1), (2, False, 0)):
+        levels, conflicts = s.assumption_levels, s.conflicts
+        s.push_ids([i])
+        res = s.solve(None)
+        assert s.conflicts == conflicts and s.assumption_levels == levels + opened
+        fresh = session().solve(list(s._assumed))
+        assert res.satisfiable == fresh.satisfiable == sat
+    # x1 implies x2, so the selector of (-2,) is false before it is placed
+    assert res.conflict_subset == fresh.conflict_subset == {7, 9}
+
+
+def test_a_list_solve_after_pushes_and_pops_keeps_the_assumed_prefix():
+    """solve(list) keeps the longest prefix of placed entries that the list
+    still assumes, whatever pushes and pops built the stack."""
+    s = SatSession(4)
+    for c in ((1,), (2,), (3,), (4,), (-1, -4)):
+        s.add_soft(c)
+    s.push_ids([0, 1, 2])
+    assert s.solve(None).satisfiable
+    assert s.assumption_levels == 3
+    s.pop(1)
+    s.push_ids([3])
+    assert s.solve(None).satisfiable
+    assert s.assumption_levels == 4  # 5 and 6 kept, 8 opens one
+    assert s.solve([5, 6, 7, 9]).satisfiable  # keeps 5 6, pushes 7 9
+    assert s._assumed == [5, 6, 7, 9] and s.assumption_levels == 6
+    s.pop(2)
+    assert s.solve([6, 8, 5]).satisfiable  # 5 and 6 kept, 8 after them
+    assert s._assumed == [5, 6, 8] and s.assumption_levels == 7
+    assert s.solve([6, 8]).satisfiable  # 5 is gone: every level re-placed
+    assert s._assumed == [6, 8] and s.assumption_levels == 9
+    assert s.solve([6, 8, 9]).satisfiable  # extends the kept levels by one
+    assert s._assumed == [6, 8, 9] and s.assumption_levels == 10
+
+
+def test_a_session_keeps_its_attributes_inline():
+    """CPython 3.11 keeps at most 29 instance attributes inline; a 30th
+    slows every attribute access of the solver."""
+    assert len(vars(SatSession(1))) <= 29
 
 
 def test_reused_assumption_levels_keep_answers_sound(monkeypatch):
