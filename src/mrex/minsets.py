@@ -84,8 +84,8 @@ def extract_mcs(ws: SatSession, seed: Iterable[int] = ()) -> McsResult | None:
     Linear search: grow a satisfiable subset from the seed in ascending
     position order, admitting for free every clause the current model already
     satisfies; the complement of the final subset is the MCS.  The seed test
-    solves with the seed as a list, which keeps the session's placed levels
-    that the seed still assumes.  From then on the kept clauses live on the
+    solves with the seed as a list, which keeps the trail levels of the
+    stack entries that the seed still assumes.  From then on the kept clauses live on the
     session's assumption stack in the order they joined: each probe pushes
     its one clause and solves, so a refuted probe pops that clause alone and
     leaves the kept clauses' levels up to its backjump on the trail for the
@@ -93,7 +93,7 @@ def extract_mcs(ws: SatSession, seed: Iterable[int] = ()) -> McsResult | None:
     admits pushed after it.  A model admits only clauses above its probe:
     an earlier refuted probe stays refuted, as the kept set only grows.  The
     last untested probe solves with a list in ascending position order
-    instead, as no later probe would reuse levels placed ahead of it.
+    instead, as no later probe would reuse levels opened ahead of it.
     """
     order = sorted(seed)
     kept = set(order)

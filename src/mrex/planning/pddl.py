@@ -2,14 +2,15 @@
 
 Rejects anything outside positive-conjunctive STRIPS: other requirement
 flags, negative or compound preconditions/goals, conditional effects,
-undefined predicates or types, arity mismatches.  A predicate or action
-name holding ':' is rejected too (PDDL names cannot carry one), so the
-encoder's `do:` prefix for an action named like a fluent stays unique.
+undefined predicates or types, arity mismatches, a type that is its own
+ancestor, and forms nested deeper than the fragment needs.  A predicate or
+action name holding ':' is rejected too (PDDL names cannot carry one), so
+the encoder's `do:` prefix for an action named like a fluent stays unique.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .model import GroundAtom, PlanningError
 
@@ -18,8 +19,13 @@ class PddlParseError(PlanningError):
     pass
 
 
-SUPPORTED_REQUIREMENTS = {":strips", ":typing"}
+SUPPORTED_REQUIREMENTS = (":strips", ":typing")  # a tuple: a flag may be a form
 ROOT_TYPE = "object"
+# define > :action > (and > (not > atom: no construct of the fragment nests
+# deeper, so nothing that walks or prints a parsed node meets deep input
+MAX_DEPTH = 5
+# heads that make a form a formula rather than an atom
+CONNECTIVES = ("or", "exists", "forall", "when", "imply", "=")
 
 Sexp = list | str
 
@@ -30,30 +36,28 @@ def _tokenize(text: str) -> list[str]:
     return cleaned.lower().split()
 
 
-def _read_sexp(tokens: list[str], pos: int) -> tuple[Sexp, int]:
-    if pos >= len(tokens):
-        raise PddlParseError("unexpected end of input")
-    tok = tokens[pos]
-    if tok == "(":
-        out: list[Sexp] = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            node, pos = _read_sexp(tokens, pos)
-            out.append(node)
-        if pos >= len(tokens):
-            raise PddlParseError("unbalanced parentheses")
-        return out, pos + 1
-    if tok == ")":
-        raise PddlParseError("unexpected ')'")
-    return tok, pos + 1
-
-
 def parse_sexp(text: str) -> Sexp:
-    tokens = _tokenize(text)
-    node, pos = _read_sexp(tokens, 0)
-    if pos != len(tokens):
+    """The one top-level form of text, nested at most MAX_DEPTH deep."""
+    stack: list[list[Sexp]] = [[]]  # the open forms, outermost first
+    for tok in _tokenize(text):
+        if tok == "(":
+            if len(stack) > MAX_DEPTH:
+                raise PddlParseError(f"form nested deeper than {MAX_DEPTH} levels")
+            stack.append([])
+        elif tok == ")":
+            if len(stack) == 1:
+                raise PddlParseError("unexpected ')'")
+            form = stack.pop()
+            stack[-1].append(form)
+        else:
+            stack[-1].append(tok)
+    if len(stack) > 1:
+        raise PddlParseError("unbalanced parentheses")
+    if not stack[0]:
+        raise PddlParseError("unexpected end of input")
+    if len(stack[0]) > 1:
         raise PddlParseError("trailing tokens after top-level form")
-    return node
+    return stack[0][0]
 
 
 def _typed_list(items: list[str], what: str) -> list[tuple[str, str]]:
@@ -111,92 +115,101 @@ class LiftedTask:
     goal: frozenset[GroundAtom] = frozenset()
 
 
-def _expect_header(node: Sexp, kind: str) -> str:
+def _sections(text: str, kind: str) -> tuple[str, list[list]]:
+    """The name and the sections of `(define (kind name) (:section ...) ...)`."""
+    node = parse_sexp(text)
     if (
         not isinstance(node, list)
-        or not node
+        or len(node) < 2
         or node[0] != "define"
         or not isinstance(node[1], list)
         or len(node[1]) != 2
         or node[1][0] != kind
     ):
         raise PddlParseError(f"not a PDDL {kind} file")
-    return node[1][1]
+    for section in node[2:]:
+        if not isinstance(section, list) or not section:
+            raise PddlParseError(f"malformed {kind} section")
+    return node[1][1], node[2:]
 
 
-def _atom_list(node: Sexp, what: str) -> list[LiftedAtom]:
-    """Positive conjunction: `(and (p ...) ...)`, a single atom, or `(and)`."""
+def _literals(node: Sexp, what: str) -> list[tuple[bool, LiftedAtom]]:
+    """(positive, atom) for each literal of a conjunction: `(and l ...)`, a
+    single literal or `()`, where a literal is `(p name ...)` or
+    `(not (p name ...))`."""
     if not isinstance(node, list):
         raise PddlParseError(f"{what} must be a form")
-    if not node:
-        return []
-    if node[0] == "and":
-        items = node[1:]
-    else:
-        items = [node]
+    items = node[1:] if node[:1] == ["and"] else [node] if node else []
     out = []
     for item in items:
+        positive = not (isinstance(item, list) and item and item[0] == "not")
+        if not positive:
+            if len(item) != 2:
+                raise PddlParseError(f"malformed negation in {what}")
+            item = item[1]
         if not isinstance(item, list) or not item:
             raise PddlParseError(f"malformed atom in {what}")
-        head = item[0]
-        if head in ("not", "or", "exists", "forall", "when", "imply", "="):
-            raise PddlParseError(
-                f"{what} supports positive conjunctions only; found ({head} ...)"
-            )
-        if not all(isinstance(t, str) for t in item[1:]):
+        if positive and item[0] in CONNECTIVES:
+            raise PddlParseError(f"{what} supports literals only; found ({item[0]} ...)")
+        if not all(isinstance(t, str) for t in item):
             raise PddlParseError(f"nested term in {what}")
-        out.append(LiftedAtom(head, tuple(item[1:])))
+        out.append((positive, LiftedAtom(item[0], tuple(item[1:]))))
     return out
 
 
-def _effect_lists(node: Sexp) -> tuple[list[LiftedAtom], list[LiftedAtom]]:
-    if not isinstance(node, list):
-        raise PddlParseError("effect must be a form")
-    items = node[1:] if node and node[0] == "and" else [node] if node else []
-    add: list[LiftedAtom] = []
-    delete: list[LiftedAtom] = []
-    for item in items:
-        if not isinstance(item, list) or not item:
-            raise PddlParseError("malformed effect")
-        if item[0] == "not":
-            if len(item) != 2 or not isinstance(item[1], list) or not item[1]:
-                raise PddlParseError("malformed delete effect")
-            inner = item[1]
-            if not all(isinstance(t, str) for t in inner):
-                raise PddlParseError("nested term in delete effect")
-            delete.append(LiftedAtom(inner[0], tuple(inner[1:])))
-        elif item[0] in ("when", "forall", "or", "exists"):
-            raise PddlParseError(f"effects support literals only; found ({item[0]} ...)")
-        else:
-            if not all(isinstance(t, str) for t in item):
-                raise PddlParseError("nested term in add effect")
-            add.append(LiftedAtom(item[0], tuple(item[1:])))
-    return add, delete
+def _positive(node: Sexp, what: str) -> list[LiftedAtom]:
+    """The atoms of a conjunction that may not negate (preconditions, goals
+    and the closed-world init)."""
+    literals = _literals(node, what)
+    if not all(sign for sign, _atom in literals):
+        raise PddlParseError(f"{what} supports positive conjunctions only; found (not ...)")
+    return [atom for _sign, atom in literals]
+
+
+def _check_arity(task: LiftedTask, atom: LiftedAtom, where: str) -> None:
+    arity = task.predicates.get(atom.predicate)
+    if arity is None:
+        raise PddlParseError(f"undefined predicate {atom.predicate!r} in {where}")
+    if len(atom.terms) != len(arity):
+        raise PddlParseError(f"arity mismatch for {atom.predicate!r} in {where}")
+
+
+def _check_acyclic(types: dict[str, str]) -> None:
+    """Every parent chain ends at a type that is its own parent (the root),
+    which is where grounding stops walking up from an object's type."""
+    rooted: set[str] = set()
+    for t in types:
+        path: set[str] = set()
+        while t not in rooted and types[t] != t:
+            if t in path:
+                raise PddlParseError(f"type {t!r} is its own ancestor")
+            path.add(t)
+            t = types[t]
+        rooted |= path
 
 
 def parse_domain(text: str) -> LiftedTask:
-    node = parse_sexp(text)
-    task = LiftedTask(domain_name=_expect_header(node, "domain"))
+    name, sections = _sections(text, "domain")
+    task = LiftedTask(domain_name=name)
     task.types[ROOT_TYPE] = ROOT_TYPE
     schemas: list[ActionSchema] = []
-    for section in node[2:]:
-        if not isinstance(section, list) or not section:
-            raise PddlParseError("malformed domain section")
+    for section in sections:
         head = section[0]
         if head == ":requirements":
             reqs = tuple(section[1:])
-            bad = [r for r in reqs if r not in SUPPORTED_REQUIREMENTS]
+            bad = [str(r) for r in reqs if r not in SUPPORTED_REQUIREMENTS]
             if bad:
                 raise PddlParseError(f"unsupported requirement flags: {', '.join(bad)}")
             task.requirements = reqs
         elif head == ":types":
-            for name, parent in _typed_list(section[1:], "types"):
-                task.types[name] = parent
+            for t, parent in _typed_list(section[1:], "types"):
+                task.types[t] = parent
             for parent in list(task.types.values()):
                 task.types.setdefault(parent, ROOT_TYPE)
+            _check_acyclic(task.types)
         elif head == ":constants":
-            for name, t in _typed_list(section[1:], "constants"):
-                task.objects[name] = t
+            for obj, t in _typed_list(section[1:], "constants"):
+                task.objects[obj] = t
         elif head == ":predicates":
             for p in section[1:]:
                 if not isinstance(p, list) or not p or not isinstance(p[0], str):
@@ -206,17 +219,27 @@ def parse_domain(text: str) -> LiftedTask:
                 params = _typed_list(p[1:], f"predicate {p[0]}")
                 task.predicates[p[0]] = tuple(t for _v, t in params)
         elif head == ":action":
-            schemas.append(_parse_action(section, task))
+            schemas.append(_parse_action(section))
         elif head in (":functions", ":derived", ":axiom", ":constraints"):
             raise PddlParseError(f"unsupported domain section {head}")
         else:
             raise PddlParseError(f"unknown domain section {head}")
     task.schemas = tuple(schemas)
-    _check_schema_arities(task)
+    for schema in task.schemas:
+        where = f"action {schema.name}"
+        scope = {v for v, _t in schema.parameters}
+        for atom in schema.pre + schema.add + schema.delete:
+            _check_arity(task, atom, where)
+            for term in atom.terms:
+                if term.startswith("?") and term not in scope:
+                    raise PddlParseError(f"unbound variable {term!r} in {where}")
+        for _v, t in schema.parameters:
+            if t not in task.types:
+                raise PddlParseError(f"undefined type {t!r} in {where}")
     return task
 
 
-def _parse_action(section: list, task: LiftedTask) -> ActionSchema:
+def _parse_action(section: list) -> ActionSchema:
     if len(section) < 2 or not isinstance(section[1], str):
         raise PddlParseError("action needs a name")
     name = section[1]
@@ -239,46 +262,27 @@ def _parse_action(section: list, task: LiftedTask) -> ActionSchema:
     for v, _t in parameters:
         if not v.startswith("?"):
             raise PddlParseError(f"parameter {v!r} of {name} must start with '?'")
-    pre = tuple(_atom_list(fields.get(":precondition", []), f"precondition of {name}"))
-    add, delete = _effect_lists(fields.get(":effect", []))
+    pre = _positive(fields.get(":precondition", []), f"precondition of {name}")
+    effect = _literals(fields.get(":effect", []), f"effect of {name}")
     unknown = set(fields) - {":parameters", ":precondition", ":effect"}
     if unknown:
         raise PddlParseError(f"unsupported action fields in {name}: {sorted(unknown)}")
-    return ActionSchema(name, parameters, pre, tuple(add), tuple(delete))
-
-
-def _check_schema_arities(task: LiftedTask) -> None:
-    for schema in task.schemas:
-        scope = {v for v, _t in schema.parameters}
-        for atom in schema.pre + schema.add + schema.delete:
-            if atom.predicate not in task.predicates:
-                raise PddlParseError(
-                    f"undefined predicate {atom.predicate!r} in action {schema.name}"
-                )
-            if len(atom.terms) != len(task.predicates[atom.predicate]):
-                raise PddlParseError(
-                    f"arity mismatch for {atom.predicate!r} in action {schema.name}"
-                )
-            for term in atom.terms:
-                if term.startswith("?") and term not in scope:
-                    raise PddlParseError(
-                        f"unbound variable {term!r} in action {schema.name}"
-                    )
-        for _v, t in schema.parameters:
-            if t not in task.types:
-                raise PddlParseError(f"undefined type {t!r} in action {schema.name}")
+    return ActionSchema(
+        name, parameters, tuple(pre),
+        add=tuple(atom for positive, atom in effect if positive),
+        delete=tuple(atom for positive, atom in effect if not positive),
+    )
 
 
 def parse_problem(text: str, task: LiftedTask) -> LiftedTask:
-    """Fills the problem half of a parsed domain (objects, init, goal)."""
-    node = parse_sexp(text)
-    task.problem_name = _expect_header(node, "problem")
-    init: set[GroundAtom] = set()
-    goal: set[GroundAtom] = set()
+    """A new task: the parsed domain's task with the problem half (objects,
+    init, goal) filled in; the domain's task is left as it was."""
+    name, sections = _sections(text, "problem")
+    objects = dict(task.objects)
+    init: list[LiftedAtom] = []
+    goal: list[LiftedAtom] = []
     seen_goal = False
-    for section in node[2:]:
-        if not isinstance(section, list) or not section:
-            raise PddlParseError("malformed problem section")
+    for section in sections:
         head = section[0]
         if head == ":domain":
             if len(section) != 2 or section[1] != task.domain_name:
@@ -286,42 +290,31 @@ def parse_problem(text: str, task: LiftedTask) -> LiftedTask:
                     f"problem targets domain {section[1:]!r}, expected {task.domain_name!r}"
                 )
         elif head == ":objects":
-            for name, t in _typed_list(section[1:], "objects"):
+            for obj, t in _typed_list(section[1:], "objects"):
                 if t not in task.types:
-                    raise PddlParseError(f"undefined type {t!r} for object {name}")
-                task.objects[name] = t
+                    raise PddlParseError(f"undefined type {t!r} for object {obj}")
+                objects[obj] = t
         elif head == ":init":
-            for item in section[1:]:
-                if not isinstance(item, list) or not item:
-                    raise PddlParseError("malformed init atom")
-                if item[0] == "not":
-                    raise PddlParseError("negative init atoms unsupported (closed world)")
-                if not all(isinstance(t, str) for t in item):
-                    raise PddlParseError("nested term in init atom")
-                init.add(GroundAtom(item[0], tuple(item[1:])))
+            init += _positive(["and", *section[1:]], "init")
         elif head == ":goal":
             if len(section) != 2:
                 raise PddlParseError("goal takes one form")
-            goal.update(
-                GroundAtom(a.predicate, a.terms)
-                for a in _atom_list(section[1], "goal")
-            )
+            goal += _positive(section[1], "goal")
             seen_goal = True
         else:
             raise PddlParseError(f"unknown problem section {head}")
     if not seen_goal:
         raise PddlParseError("problem has no goal")
-    for atom in init | goal:
-        if atom.predicate not in task.predicates:
-            raise PddlParseError(f"undefined predicate {atom.predicate!r} in problem")
-        if len(atom.args) != len(task.predicates[atom.predicate]):
-            raise PddlParseError(f"arity mismatch for {atom.predicate!r} in problem")
-        for arg in atom.args:
-            if arg not in task.objects:
+    for atom in init + goal:
+        _check_arity(task, atom, "problem")
+        for arg in atom.terms:
+            if arg not in objects:
                 raise PddlParseError(f"unknown object {arg!r} in problem")
-    task.init = frozenset(init)
-    task.goal = frozenset(goal)
-    return task
+    return replace(
+        task, problem_name=name, objects=objects,
+        init=frozenset(GroundAtom(a.predicate, a.terms) for a in init),
+        goal=frozenset(GroundAtom(a.predicate, a.terms) for a in goal),
+    )
 
 
 def parse_pddl(domain_text: str, problem_text: str) -> LiftedTask:

@@ -10,29 +10,32 @@ address soft clauses by position: solve_ids, core_ids and satisfied_ids
 translate to and from selectors.  Solving is deterministic: identical
 session histories produce identical answers, models, and conflict subsets.
 
-The session owns an assumption stack, bottom first, and each entry takes
-one decision level, in stack order (Een & Sorensson, "An Extensible
-SAT-solver", SAT 2003; Nadel & Ryvchin, "Efficient SAT Solving under
-Assumptions", SAT 2012).  push_ids checks each soft clause position once,
-when it is pushed, and raises before the stack changes; pop drops entries
-and backtracks below the levels it drops; solve(None) solves under the stack
-as it stands.  An answer leaves the trail at the level it was found on, so
-the next solve keeps every placed level and places only the entries pushed
-since (van der Tak, Ramos & Heule, "Reusing the Assignment Trail in CDCL
-Solvers", JSAT 2011).  solve(assumptions) is prefix matching on top of the
-stack: it keeps the longest prefix of placed entries that it still assumes,
-pops the rest and pushes the remaining literals in the order the caller
-lists them; only the pushed literals are checked.  So a caller that grows
-one assumption set, as MCS extraction does, pays one level per new literal,
-not one per literal.  A conflict reached while the trail holds only
-assumption levels is learnt and backjumped over as usual, and then answers
-UNSAT at once: the assumptions that propagation used to reach it are the
-conflict subset, and the learnt clause's asserting literal waits on the
-trail for the next solve to propagate.  So a caller that pushes the literal
-it tests last keeps, when the test fails, every level up to the backjump.
-One walk over a clause's literals both checks and loads it, so a malformed
-clause raises before the session changes.  Adding a clause, and reducing
-the learnt clauses, start from level 0.
+The session owns an assumption stack, bottom first, and each entry takes one
+decision level, in stack order (Een & Sorensson, "An Extensible SAT-solver",
+SAT 2003; Nadel & Ryvchin, "Efficient SAT Solving under Assumptions", SAT
+2012).  push_ids checks each soft clause position once, when it is pushed,
+and raises before the stack changes; pop drops entries and backtracks below
+the levels it drops; solve(None) solves under the stack as it stands.  Trail
+levels 1..k hold the stack's first k entries, for k the smaller of the
+trail's level count and the stack's length; a level above the stack is a
+decision that the last answer left, and a push backtracks over those before
+it appends.  An answer leaves the trail at the level it was found on, so the
+next solve keeps the stack's levels and opens levels only for the entries
+pushed since (van der Tak, Ramos & Heule, "Reusing the Assignment Trail in
+CDCL Solvers", JSAT 2011).  solve(assumptions) is prefix matching on top of
+the stack: it keeps the longest prefix of the stack's levels whose entries
+it still assumes, pops the rest and pushes the remaining literals in the
+order the caller lists them; only the pushed literals are checked.  So a
+caller that grows one assumption set, as MCS extraction does, pays one level
+per new literal, not one per literal.  A conflict reached while the trail
+holds only assumption levels is learnt and backjumped over as usual, and
+then answers UNSAT at once: the assumptions that propagation used to reach
+it are the conflict subset, and the learnt clause's asserting literal waits
+on the trail for the next solve to propagate.  So a caller that pushes the
+literal it tests last keeps, when the test fails, every level up to the
+backjump.  One walk over a clause's literals both checks and loads it, so a
+malformed clause raises before the session changes.  Adding a clause, and
+reducing the learnt clauses, start from level 0.
 
 Each decision branches on the unassigned problem variable of largest VSIDS
 activity, the smallest variable among ties.  Selectors are never decided
@@ -126,7 +129,7 @@ class SatSession:
 
     def __init__(self, num_vars: int, budget: Budget | None = None):
         # CPython 3.11 keeps at most 29 instance attributes inline, and a
-        # 30th slows every attribute access of the session, so it holds 29.
+        # 30th slows every attribute access of the session; it holds 28.
         # Per-variable arrays, entry 0 unused, one entry per problem
         # variable and selector; _assign holds +1 true, -1 false, 0
         # unassigned.
@@ -152,13 +155,12 @@ class SatSession:
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         # The assumption stack, bottom first, and the set of its literals.
-        # _placed counts the entries that the last solve assumed, less those
-        # popped since: trail levels 1..min(_placed, len(_trail_lim)) are
-        # their assumption levels, and an entry pushed after an answer is
-        # not placed, whatever decision levels that answer left.
+        # Trail levels 1..min(len(_trail_lim), len(_assumed)) hold the
+        # stack's entries in order; a level above the stack is a decision
+        # that the last answer left, so a push first backtracks to the
+        # stack's length.
         self._assumed: list[int] = []
         self._on_stack: set[int] = set()
-        self._placed = 0
         self._qhead = 0
         self._var_inc = 1.0
         self._ok = True
@@ -231,6 +233,7 @@ class SatSession:
             bad = next(x for x in selectors if x in seen or seen.add(x))
             raise SolverUsageError(
                 f"soft clause id {bad - self.num_vars - 1} is pushed twice")
+        self._backtrack(len(self._assumed))
         self._assumed += selectors
 
     def pop(self, k: int) -> None:
@@ -242,9 +245,7 @@ class SatSession:
             raise SolverUsageError(f"cannot pop {k} of {len(stack)} assumptions")
         self._on_stack.difference_update(stack[n:])
         del stack[n:]
-        if self._placed > n:
-            self._placed = n
-            self._backtrack(n)
+        self._backtrack(n)
 
     def core_ids(self, result: SolveResult) -> set[int]:
         """Positions of the soft clauses in an UNSAT answer's conflict subset."""
@@ -589,8 +590,7 @@ class SatSession:
         del stack[depth:]
         stack += rest
         self._on_stack = aset
-        if self._placed > depth:
-            self._placed = depth
+        self._backtrack(depth)
         # the kept prefix is clash-free: its literals are true on the trail
         if aset.isdisjoint(map(neg, rest)):
             return 0
@@ -600,12 +600,12 @@ class SatSession:
         """Solve under the assumption literals, or, for None, under the
         assumption stack as it stands.
 
-        The trail keeps the longest prefix of placed stack entries that are
-        all still assumed; the other assumptions follow in stack order, one
-        decision level each.  A conflict reached while the trail holds only
-        assumption levels is learnt and backjumped as any other, and then
-        answers UNSAT with the assumptions that propagation used to reach
-        it.  An answer leaves the trail where it stands, so the next solve
+        The trail keeps the longest prefix of the stack's levels whose
+        entries are all still assumed; the other assumptions follow in stack
+        order, one decision level each.  A conflict reached while the trail
+        holds only assumption levels is learnt and backjumped as any other,
+        and then answers UNSAT with the assumptions that propagation used to
+        reach it.  An answer leaves the trail where it stands, so the next solve
         starts from it.  The order depends only on the session's history
         and the caller's lists, so identical histories give identical
         answers.
@@ -614,15 +614,14 @@ class SatSession:
         max_learnts = max(_MIN_LEARNTS, 2 * self._n_problem_clauses)
         reduce = len(self._learnts) > max_learnts
         # a due reduction keeps no level: _reduce_db runs at level 0
-        keep = 0 if reduce else min(self._placed, len(self._trail_lim))
+        keep = 0 if reduce else min(len(self._trail_lim), len(self._assumed))
         clash = 0 if assumptions is None else self._assume(assumptions, keep)
-        self._backtrack(min(keep, self._placed))  # _assume may keep fewer
+        self._backtrack(keep)
         if not self._ok:
             return SolveResult(False, conflict_subset=frozenset())
         if clash:
             return SolveResult(False, conflict_subset=frozenset((clash, -clash)))
         assumps = self._assumed
-        self._placed = len(assumps)
 
         if reduce:
             self._reduce_db()

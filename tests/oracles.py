@@ -230,8 +230,9 @@ def extract_mcs_by_lists(ws, seed: Iterable[int] = ()):
     the kept clauses in the order they joined and the probe last, the last
     untested probe in ascending position order, and every model's admitted
     clauses come from a scan of all soft clauses.  SatSession.solve keeps
-    the placed levels that a list still assumes, so this makes the same
-    solves, in the same order, from the same levels as extract_mcs."""
+    the stack's levels whose entries a list still assumes, so this makes
+    the same solves, in the same order, from the same levels as
+    extract_mcs."""
     from mrex.minsets import McsResult, NothingToCorrectError
 
     order = sorted(seed)

@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,7 @@ from mrex.planning import (
     parse_domain,
     parse_pddl,
     parse_plan_text,
+    parse_problem,
     tweak_model,
     validate_plan,
     write_plan_text,
@@ -147,6 +149,100 @@ class TestParsing:
         assert len(problem.actions) == 2  # move(t1,p1,p2) and move(t1,p2,p1)
         plan = optimal_plan_search(problem)
         assert [a.label for a in plan] == ["move(t1,p1,p2)"]
+
+    def test_problems_leave_the_domain_task_unchanged(self):
+        domain = parse_domain(BLOCKS)
+        before = repr(domain)
+        first = parse_problem(SUSSMAN, domain)
+        second = parse_problem(TWO_BLOCKS, domain)
+        assert repr(domain) == before
+        assert domain is not first and domain is not second
+        assert sorted(first.objects) == ["a", "b", "c"]
+        assert sorted(second.objects) == ["a", "b"]
+        assert ground(second) == ground(parse_pddl(BLOCKS, TWO_BLOCKS))
+
+
+def _domain(body: str) -> str:
+    return f"(define (domain d) (:requirements :strips) (:predicates (p ?x) (q)) {body})"
+
+
+def _problem(body: str) -> str:
+    return f"(define (problem x) (:domain d) (:objects a) {body})"
+
+
+def _action(fields: str) -> str:
+    return _domain(f"(:action a {fields})")
+
+
+GOAL = "(:goal (q))"
+
+
+@pytest.mark.parametrize("domain, problem, message", [
+    # the s-expression reader
+    ("(define " + "(" * 3000 + ")" * 3000 + ")", None, "nested deeper than 5"),
+    (_action(":effect (and (not ((p)))))"), None, "nested deeper than 5"),
+    (")", None, "unexpected ')'"),
+    ("(define (domain d)", None, "unbalanced parentheses"),
+    ("; a comment alone", None, "unexpected end of input"),
+    ("(define (domain d)) (q)", None, "trailing tokens"),
+    # typed lists, :types and :constants
+    (_domain("(:types a -)"), None, "dangling '-' in types list"),
+    (_domain("(:types - a)"), None, "type with no names in types list"),
+    (_domain("(:types a - (either b c))"), None, "compound type in types list"),
+    (_domain("(:constants (c))"), None, "nested form in constants list"),
+    (_domain("(:types a - b b - a) (:action go :parameters (?x) :effect (p ?x))"),
+     _problem("(:objects x - a)" + GOAL), "type 'a' is its own ancestor"),
+    # headers and sections
+    ("(define)", None, "not a PDDL domain file"),
+    (_domain(""), "(define (domain d))", "not a PDDL problem file"),
+    (_domain("q"), None, "malformed domain section"),
+    (_domain("(:requirements :adl)"), None, "unsupported requirement flags: :adl"),
+    (_domain("(:requirements (:strips))"), None, "unsupported requirement flags"),
+    (_domain("(:predicates q)"), None, "malformed predicate declaration"),
+    (_domain("(:predicates (a:b))"), None, "predicate name 'a:b' holds ':'"),
+    (_domain("(:functions)"), None, "unsupported domain section :functions"),
+    (_domain("(:foo)"), None, "unknown domain section :foo"),
+    # actions
+    (_domain("(:action)"), None, "action needs a name"),
+    (_domain("(:action a:b)"), None, "action name 'a:b' holds ':'"),
+    (_action("foo"), None, "expected keyword in action a"),
+    (_action(":effect"), None, "missing value for :effect in action a"),
+    (_action(":parameters ?x"), None, "parameters of a must be a list"),
+    (_action(":parameters (x)"), None, "parameter 'x' of a must start with '?'"),
+    (_action(":effect (q) :cost 1"), None, "unsupported action fields in a"),
+    (_action(":parameters (?x - car)"), None, "undefined type 'car' in action a"),
+    (_action(":precondition (p ?y)"), None, "unbound variable '?y' in action a"),
+    (_action(":precondition (r)"), None, "undefined predicate 'r' in action a"),
+    (_action(":effect (p)"), None, "arity mismatch for 'p' in action a"),
+    # literals
+    (_action(":precondition q"), None, "precondition of a must be a form"),
+    (_action(":effect (not (q) (q))"), None, "malformed negation in effect of a"),
+    (_action(":effect (and q)"), None, "malformed atom in effect of a"),
+    (_action(":precondition (= ?x ?x)"), None, "precondition of a supports literals only"),
+    (_action(":precondition (and ((q)))"), None, "nested term in precondition of a"),
+    (_domain(""), _problem("(:init (not (q)))" + GOAL),
+     "init supports positive conjunctions only"),
+    # problems
+    (_domain(""), "(define (problem x) (:domain d) q)", "malformed problem section"),
+    (_domain(""), "(define (problem x) (:domain e) (:goal (q)))", "targets domain"),
+    (_domain(""), _problem("(:objects b - car)" + GOAL), "undefined type 'car' for object b"),
+    (_domain(""), _problem("(:goal (q) (q))"), "goal takes one form"),
+    (_domain(""), _problem("(:requirements :strips)" + GOAL), "unknown problem section"),
+    (_domain(""), _problem(""), "problem has no goal"),
+    (_domain(""), _problem("(:goal (r))"), "undefined predicate 'r' in problem"),
+    (_domain(""), _problem("(:goal (p))"), "arity mismatch for 'p' in problem"),
+    (_domain(""), _problem("(:goal (p b))"), "unknown object 'b' in problem"),
+])
+def test_every_rejection_raises_a_parse_error(domain, problem, message):
+    """Malformed inputs that together reach every rejection in the PDDL
+    reader: each raises PddlParseError naming what is wrong, the 3 000-deep
+    form without recursing and the cyclic types before grounding walks
+    them."""
+    with pytest.raises(PddlParseError, match=re.escape(message)):
+        if problem is None:
+            parse_domain(domain)
+        else:
+            parse_pddl(domain, problem)
 
 
 class TestGrounding:

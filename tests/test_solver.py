@@ -599,7 +599,9 @@ def test_reused_assumption_levels_keep_answers_sound(monkeypatch):
     """Random sessions solve sequences of overlapping assumption sets over
     selectors and problem literals, with clauses added in between,
     complementary pairs, learnt reductions forced often and solves stopped
-    at a conflict by a passed deadline.  Every answer agrees with the
+    at a conflict by a passed deadline.  Some steps pop and push the stack
+    and solve under it instead, and the step after a stopped solve pushes
+    onto the trail that the stop left.  Every answer agrees with the
     truth table; every conflict subset is a subset of the assumptions and
     unsatisfiable on its own."""
     monkeypatch.setattr(solver, "_MIN_LEARNTS", 6)
@@ -619,6 +621,7 @@ def test_reused_assumption_levels_keep_answers_sound(monkeypatch):
     monkeypatch.setattr(SatSession, "_reduce_db", reduce_db)
     rng = random.Random(23)
     answers = unsat = clashes = stopped = reused = 0
+    stack_answers = pushes_after_stop = 0
     for _ in range(30):
         n = rng.randint(10, 12)
         s = SatSession(n, budget=Budget(1000.0))
@@ -635,6 +638,7 @@ def test_reused_assumption_levels_keep_answers_sound(monkeypatch):
             return hard + [soft[x] if x > n else (x,) for x in lits]
 
         assumed: list[int] = rng.sample(sorted(soft), n // 2)
+        stopped_last = False
         for _ in range(80):
             step = rng.random()
             if step < 0.05:
@@ -644,8 +648,19 @@ def test_reused_assumption_levels_keep_answers_sound(monkeypatch):
             elif step < 0.1:
                 c = _clause3(rng, n)
                 soft[s.add_soft(c)] = c
+            on_stack = stopped_last or rng.random() < 0.3
             step = rng.random()
-            if step < 0.35:
+            if on_stack:
+                # a pop backtracks below the stack's top, so none follows a
+                # stop: the push meets the levels the stopped solve left
+                if not stopped_last and step < 0.5:
+                    s.pop(rng.randint(0, min(2, len(s._assumed))))
+                free = sorted(set(soft) - set(s._assumed))
+                pushed = rng.sample(free, min(rng.randint(1, 2), len(free)))
+                s.push_ids([x - n - 1 for x in pushed])
+                pushes_after_stop += stopped_last and bool(pushed)
+                assumed = list(s._assumed)
+            elif step < 0.35:
                 free = sorted(set(soft) - set(assumed))
                 assumed += rng.sample(free, min(2, len(free)))
             elif step < 0.7:
@@ -663,14 +678,17 @@ def test_reused_assumption_levels_keep_answers_sound(monkeypatch):
                 offset[0] = 1e6
             aset = set(assumed)
             before = s.assumption_levels
+            stopped_last = False
             try:
-                res = s.solve(aset)
+                res = s.solve(None if on_stack else aset)
             except _OutOfTime:
                 stopped += 1
+                stopped_last = True
                 continue
             finally:
                 offset[0] = 0.0
             answers += 1
+            stack_answers += on_stack
             # a SAT answer holds one level per assumption; fewer opened
             # means levels were kept
             reused += res.satisfiable and s.assumption_levels - before < len(aset)
@@ -682,6 +700,7 @@ def test_reused_assumption_levels_keep_answers_sound(monkeypatch):
                 clashes += any(-x in res.conflict_subset for x in res.conflict_subset)
     assert answers >= 2000 and unsat >= 500 and clashes >= 150
     assert stopped >= 30 and reused >= 800 and len(reductions) >= 25
+    assert stack_answers >= 600 and pushes_after_stop >= 30
 
 
 def test_conflicts_under_assumptions_end_solves_soundly(monkeypatch):
