@@ -572,7 +572,8 @@ def run_explain_plan(config: RunConfig) -> ExplainPlanResult:
         outdir = Path(config.out)
         _write_artifact(str(outdir / "kb_a.cnf"), write_dimacs(kb_a), report)
         _write_artifact(str(outdir / "kb_h.cnf"), write_dimacs(kb_h), report)
-        _write_out(str(outdir / "kb_a.cnf.map"), write_var_map(enc_a))
+        _write_out(str(outdir / "kb_a.cnf.map"),
+                   "".join(f"{v} {name_of(v)}\n" for v in range(1, kb_a.num_vars + 1)))
         _write_out(str(outdir / "plan.txt"), write_plan_text(plan))
         _write_out(
             str(outdir / "query.txt"),

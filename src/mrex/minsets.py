@@ -84,16 +84,13 @@ def extract_mcs(ws: SatSession, seed: Iterable[int] = ()) -> McsResult | None:
     Linear search: grow a satisfiable subset from the seed in ascending
     position order, admitting for free every clause the current model already
     satisfies; the complement of the final subset is the MCS.  The seed test
-    solves with the seed as a list, which keeps the trail levels of the
-    stack entries that the seed still assumes.  From then on the kept clauses live on the
-    session's assumption stack in the order they joined: each probe pushes
-    its one clause and solves, so a refuted probe pops that clause alone and
-    leaves the kept clauses' levels up to its backjump on the trail for the
-    next probe, and a satisfiable one stays, with the clauses its model
-    admits pushed after it.  A model admits only clauses above its probe:
-    an earlier refuted probe stays refuted, as the kept set only grows.  The
-    last untested probe solves with a list in ascending position order
-    instead, as no later probe would reuse levels opened ahead of it.
+    solves with the seed as a list, which keeps the levels of the stack
+    entries that the seed still assumes.  From then on each probe pushes its
+    one clause and solves under the stack: a refuted probe pops it again,
+    and a satisfiable one stays, with the clauses its model admits pushed
+    after it.  So the stack ends holding the kept clauses in the order they
+    joined.  A model admits only clauses above its probe: an earlier refuted
+    probe stays refuted, as the kept set only grows.
     """
     order = sorted(seed)
     kept = set(order)
@@ -103,23 +100,17 @@ def extract_mcs(ws: SatSession, seed: Iterable[int] = ()) -> McsResult | None:
     admitted = ws.satisfied_ids(res.model, kept, 0)
     ws.push_ids(admitted)
     kept.update(admitted)
-    untested = len(ws.soft) - len(kept)
     for i in range(len(ws.soft)):
         if i in kept:
             continue
-        untested -= 1
-        if untested:
-            ws.push_ids((i,))
-            r = ws.solve_ids(None)
-        else:
-            r = ws.solve_ids(sorted([*kept, i]))
+        ws.push_ids((i,))
+        r = ws.solve_ids(None)
         if r.satisfiable:
             kept.add(i)
             admitted = ws.satisfied_ids(r.model, kept, i + 1)
             ws.push_ids(admitted)
             kept.update(admitted)
-            untested -= len(admitted)
-        elif untested:
+        else:
             ws.pop(1)
     mcs = frozenset(range(len(ws.soft))) - kept
     if not mcs:

@@ -125,6 +125,7 @@ def _sections(text: str, kind: str) -> tuple[str, list[list]]:
         or not isinstance(node[1], list)
         or len(node[1]) != 2
         or node[1][0] != kind
+        or not isinstance(node[1][1], str)
     ):
         raise PddlParseError(f"not a PDDL {kind} file")
     for section in node[2:]:
@@ -224,6 +225,9 @@ def parse_domain(text: str) -> LiftedTask:
             raise PddlParseError(f"unsupported domain section {head}")
         else:
             raise PddlParseError(f"unknown domain section {head}")
+    for obj, t in task.objects.items():
+        if t not in task.types:
+            raise PddlParseError(f"undefined type {t!r} for constant {obj}")
     task.schemas = tuple(schemas)
     for schema in task.schemas:
         where = f"action {schema.name}"
@@ -253,6 +257,8 @@ def _parse_action(section: list) -> ActionSchema:
             raise PddlParseError(f"expected keyword in action {name}")
         if i + 1 >= len(section):
             raise PddlParseError(f"missing value for {key} in action {name}")
+        if key in fields:
+            raise PddlParseError(f"repeated {key} in action {name}")
         fields[key] = section[i + 1]
         i += 2
     params_node = fields.get(":parameters", [])

@@ -26,16 +26,16 @@ CDCL Solvers", JSAT 2011).  solve(assumptions) is prefix matching on top of
 the stack: it keeps the longest prefix of the stack's levels whose entries
 it still assumes, pops the rest and pushes the remaining literals in the
 order the caller lists them; only the pushed literals are checked.  So a
-caller that grows one assumption set, as MCS extraction does, pays one level
-per new literal, not one per literal.  A conflict reached while the trail
-holds only assumption levels is learnt and backjumped over as usual, and
-then answers UNSAT at once: the assumptions that propagation used to reach
-it are the conflict subset, and the learnt clause's asserting literal waits
-on the trail for the next solve to propagate.  So a caller that pushes the
-literal it tests last keeps, when the test fails, every level up to the
-backjump.  One walk over a clause's literals both checks and loads it, so a
-malformed clause raises before the session changes.  Adding a clause, and
-reducing the learnt clauses, start from level 0.
+caller that grows one assumption set pays one level per new literal, not one
+per literal.  A conflict reached while the trail holds only assumption levels
+is learnt and backjumped over as usual, and then answers UNSAT at once: the
+assumptions that propagation used to reach it are the conflict subset, and
+the learnt clause's asserting literal waits on the trail for the next solve
+to propagate.  So a caller that pushes the literal it tests last keeps, when
+the test fails, every level up to the backjump.  One walk over a clause's
+literals both checks and loads it, so a malformed clause raises before the
+session changes.  Adding a clause, and reducing the learnt clauses, start
+from level 0.
 
 Each decision branches on the unassigned problem variable of largest VSIDS
 activity, the smallest variable among ties.  Selectors are never decided
@@ -155,10 +155,6 @@ class SatSession:
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         # The assumption stack, bottom first, and the set of its literals.
-        # Trail levels 1..min(len(_trail_lim), len(_assumed)) hold the
-        # stack's entries in order; a level above the stack is a decision
-        # that the last answer left, so a push first backtracks to the
-        # stack's length.
         self._assumed: list[int] = []
         self._on_stack: set[int] = set()
         self._qhead = 0
@@ -563,53 +559,39 @@ class SatSession:
             wl[:] = [c for c in wl if c]
 
     def _assume(self, assumptions: Iterable[int], depth: int) -> int:
-        """Make the stack hold the assumption literals: keep the longest
-        prefix of its first depth entries that they all hold, pop the rest
-        and push the others in the caller's order, once each.  The literals
-        it pushes are checked first, so a bad one raises before the stack
-        changes.  Returns the smallest literal whose complement is also
-        assumed, or 0."""
+        """Make the stack hold the assumption literals, matching a prefix of
+        its first depth entries, the levels the trail still holds.  The
+        literals it pushes are checked first, so a bad one raises before the
+        stack changes.  Returns the smallest literal whose complement is
+        also assumed, or 0."""
         assumps = list(assumptions)
         aset = set(assumps)  # also the stack's literals once this returns
         if len(aset) < len(assumps):
             assumps = list(dict.fromkeys(assumps))
         stack = self._assumed
-        if assumps[:depth] == stack[:depth]:  # the caller extends the kept levels
-            rest = assumps[depth:]
-        else:
-            k = 0
-            while k < depth and stack[k] in aset:
-                k += 1
+        k = 0
+        while k < depth and stack[k] in aset:
+            k += 1
+        rest = assumps
+        if k:
             kept = set(stack[:k])
             rest = [a for a in assumps if a not in kept]
-            depth = k
         nvars = len(self._assign) - 1
         if rest and (min(rest) < -nvars or max(rest) > nvars or 0 in rest):
             bad = next(a for a in rest if a == 0 or abs(a) > nvars)
             raise SolverUsageError(f"assumption {bad} references an unregistered variable")
-        del stack[depth:]
+        del stack[k:]
         stack += rest
         self._on_stack = aset
-        self._backtrack(depth)
+        self._backtrack(k)
         # the kept prefix is clash-free: its literals are true on the trail
         if aset.isdisjoint(map(neg, rest)):
             return 0
         return -max(abs(a) for a in rest if -a in aset)
 
     def solve(self, assumptions: Iterable[int] | None = ()) -> SolveResult:
-        """Solve under the assumption literals, or, for None, under the
-        assumption stack as it stands.
-
-        The trail keeps the longest prefix of the stack's levels whose
-        entries are all still assumed; the other assumptions follow in stack
-        order, one decision level each.  A conflict reached while the trail
-        holds only assumption levels is learnt and backjumped as any other,
-        and then answers UNSAT with the assumptions that propagation used to
-        reach it.  An answer leaves the trail where it stands, so the next solve
-        starts from it.  The order depends only on the session's history
-        and the caller's lists, so identical histories give identical
-        answers.
-        """
+        """Solve under the assumption literals, matched against the stack's
+        prefix, or, for None, under the assumption stack as it stands."""
         # Reduce here too, or solves that never restart keep every learnt.
         max_learnts = max(_MIN_LEARNTS, 2 * self._n_problem_clauses)
         reduce = len(self._learnts) > max_learnts

@@ -227,12 +227,10 @@ def verify_by_probing(kb_h: Iterable[Clause], support: Iterable[Clause], query):
 
 def extract_mcs_by_lists(ws, seed: Iterable[int] = ()):
     """extract_mcs with no assumption stack: every probe passes the session
-    the kept clauses in the order they joined and the probe last, the last
-    untested probe in ascending position order, and every model's admitted
-    clauses come from a scan of all soft clauses.  SatSession.solve keeps
-    the stack's levels whose entries a list still assumes, so this makes
-    the same solves, in the same order, from the same levels as
-    extract_mcs."""
+    the kept clauses in the order they joined and the probe last, and every
+    model's admitted clauses come from a scan of all soft clauses.  Prefix
+    matching makes these the same solves, in the same order, from the same
+    levels as extract_mcs."""
     from mrex.minsets import McsResult, NothingToCorrectError
 
     order = sorted(seed)
@@ -243,19 +241,16 @@ def extract_mcs_by_lists(ws, seed: Iterable[int] = ()):
     admitted = ws.satisfied_ids(res.model, kept, 0)
     order += admitted
     kept.update(admitted)
-    untested = len(ws.soft) - len(kept)
     for i in range(len(ws.soft)):
         if i in kept:
             continue
-        untested -= 1
         probe = order + [i]
-        r = ws.solve_ids(probe if untested else sorted(probe))
+        r = ws.solve_ids(probe)
         if r.satisfiable:
             kept.add(i)
             admitted = ws.satisfied_ids(r.model, kept, 0)
             order = probe + admitted
             kept.update(admitted)
-            untested -= len(admitted)
     mcs = frozenset(range(len(ws.soft))) - kept
     if not mcs:
         raise NothingToCorrectError("hard and soft clauses are jointly satisfiable")

@@ -376,7 +376,8 @@ class TestExplainPlanCommand:
                                             missing, kb_h_digest):
         """kb_a.cnf, kb_h.cnf and kb_a.cnf.map are pinned byte for byte: the
         clause order and ids of both knowledge bases are part of every
-        explanation.  Scenarios 2, 3, 7 and 8 take the feasibility repair, so
+        explanation, and the map names each variable of kb_a.cnf once, the
+        query's goal@t variables too.  Scenarios 2, 3, 7 and 8 take the feasibility repair, so
         their kb_h gains the repair clauses ahead of the goal definitions;
         the `clause role=repair` lines are pinned too, as they carry each
         repair clause's kind, step, action and order.  Scenario 8's model has
@@ -392,8 +393,12 @@ class TestExplainPlanCommand:
         assert digest == {
             "kb_a.cnf": "49c4fe3c02d15f3e30e7f214a5328c407e0ed36d32c62543eae24b209ec9de70",
             "kb_h.cnf": kb_h_digest,
-            "kb_a.cnf.map": "130306e1814e3ecc56a6956f52a21691b3d437128db1c02b40a8dfc420d93abc",
+            "kb_a.cnf.map": "a96d04f7e9127234bee422da594392acfc955e33a117f72d701b27ded06b5d39",
         }
+        num_vars = int((outdir / "kb_a.cnf").read_text().split()[2])
+        mapped = [int(line.split()[0])
+                  for line in (outdir / "kb_a.cnf.map").read_text().splitlines()]
+        assert mapped == list(range(1, num_vars + 1))
         repair = [l for l in out.splitlines() if l.startswith("clause role=repair ")]
         assert len(repair) == missing
         lines = "".join(l + "\n" for l in repair).encode()

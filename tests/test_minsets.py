@@ -275,9 +275,8 @@ def _sussman_4_restricted():
 
 def test_hitting_set_loop_session_counters_on_sussman_scenario_4(monkeypatch):
     """Restricted Sussman scenario 4 (seed 0): the session of the
-    hitting-set loop opens 41 752 assumption levels and makes 48 905
-    propagations, 51 576 and 62 680 before MCS probes went last and a
-    conflict under assumptions answered at once."""
+    hitting-set loop opens 37 042 assumption levels and makes 45 253
+    propagations."""
     monkeypatch.setattr(minsets, "check_minimality", False)  # audits solve too
     sessions = []
     real = reconcile_module.extract_mcs
@@ -291,10 +290,10 @@ def test_hitting_set_loop_session_counters_on_sussman_scenario_4(monkeypatch):
     result = _sussman_4_restricted()
     assert len(result.explanation.update) == 39 and result.verification.ok
     (ws,) = sessions
-    assert ws.assumption_levels == 41752
-    assert ws.propagations == 48905
-    assert ws.decisions == 5759
-    assert ws.conflicts == 152
+    assert ws.assumption_levels == 37042
+    assert ws.propagations == 45253
+    assert ws.decisions == 5297
+    assert ws.conflicts == 131
 
 
 def _with_each_mcs_search(monkeypatch, run) -> list[tuple]:
@@ -338,7 +337,61 @@ def test_stack_search_matches_the_list_search(monkeypatch):
     assert searches >= 400
     stack, lists = _with_each_mcs_search(monkeypatch, _sussman_4_restricted)
     assert stack[:2] == lists[:2]
-    assert len(stack[0]) == 62 and len(stack[1]) == 2
+    assert len(stack[0]) == 59 and len(stack[1]) == 2
+
+
+def _stack_ids(ws: SatSession) -> list[int]:
+    return [s - ws.num_vars - 1 for s in ws._assumed]
+
+
+def test_mcs_search_leaves_the_kept_clauses_on_the_stack_in_join_order(monkeypatch):
+    """After extract_mcs the assumption stack holds the selectors of the
+    kept clauses, and nothing else, in the order they joined: the seed as
+    its list solve placed it, then every push that no pop undid.  A refuted
+    last probe is popped like every other."""
+    monkeypatch.setattr(minsets, "check_minimality", False)  # audits solve too
+    # The all-false first model admits clause 2, probe 0 is satisfiable and
+    # the last probe, 1, is refuted.
+    ws = workspace(2, [], [(1,), (2,), (-1, -2)])
+    assert extract_mcs(ws).ids == {1}
+    assert _stack_ids(ws) == [2, 0]
+
+    rng = random.Random(26)
+    calls = 0
+    for _ in range(40):
+        n = rng.randint(3, 6)
+        soft, hard = random_unsat_soft(rng, n, rng.randint(n + 2, n + 5), rng.randint(0, 2))
+        if not tt_satisfiable(hard, n):
+            continue
+        ws = workspace(n, hard, soft)
+        joined: list[int] = []
+        real_solve, real_push, real_pop = ws.solve_ids, ws.push_ids, ws.pop
+
+        def solve_ids(ids, ws=ws, joined=joined, real=real_solve):
+            res = real(ids)
+            if ids is not None:
+                joined[:] = _stack_ids(ws)
+            return res
+
+        def push_ids(ids, joined=joined, real=real_push):
+            ids = list(ids)
+            real(ids)
+            joined.extend(ids)
+
+        def pop(k, joined=joined, real=real_pop):
+            real(k)
+            del joined[len(joined) - k:]
+
+        ws.solve_ids, ws.push_ids, ws.pop = solve_ids, push_ids, pop
+        for _ in range(4):
+            seed = {i for i in range(len(soft)) if rng.random() < 0.3}
+            mcs = extract_mcs(ws, seed)
+            if mcs is None:
+                continue
+            calls += 1
+            assert _stack_ids(ws) == joined
+            assert set(joined) == set(range(len(soft))) - mcs.ids
+    assert calls >= 60
 
 
 # q=4 follows from the chain x1, x1->x2, x2->x3, x3->q; kb_h lacks x2->x3

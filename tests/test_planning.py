@@ -190,10 +190,13 @@ GOAL = "(:goal (q))"
     (_domain("(:types - a)"), None, "type with no names in types list"),
     (_domain("(:types a - (either b c))"), None, "compound type in types list"),
     (_domain("(:constants (c))"), None, "nested form in constants list"),
+    (_domain("(:constants x - car)"), None, "undefined type 'car' for constant x"),
     (_domain("(:types a - b b - a) (:action go :parameters (?x) :effect (p ?x))"),
      _problem("(:objects x - a)" + GOAL), "type 'a' is its own ancestor"),
     # headers and sections
     ("(define)", None, "not a PDDL domain file"),
+    ("(define (domain (x)))", None, "not a PDDL domain file"),
+    (_domain(""), "(define (problem (x)) (:domain d) (:goal (q)))", "not a PDDL problem file"),
     (_domain(""), "(define (domain d))", "not a PDDL problem file"),
     (_domain("q"), None, "malformed domain section"),
     (_domain("(:requirements :adl)"), None, "unsupported requirement flags: :adl"),
@@ -210,6 +213,7 @@ GOAL = "(:goal (q))"
     (_action(":parameters ?x"), None, "parameters of a must be a list"),
     (_action(":parameters (x)"), None, "parameter 'x' of a must start with '?'"),
     (_action(":effect (q) :cost 1"), None, "unsupported action fields in a"),
+    (_action(":precondition (q) :precondition (p)"), None, "repeated :precondition in action a"),
     (_action(":parameters (?x - car)"), None, "undefined type 'car' in action a"),
     (_action(":precondition (p ?y)"), None, "unbound variable '?y' in action a"),
     (_action(":precondition (r)"), None, "undefined predicate 'r' in action a"),
