@@ -14,7 +14,10 @@ def compute_backbone(kb: CnfFormula) -> tuple[int, ...]:
     """All literals entailed by kb, sorted by variable.
 
     Model refinement: each model rules out candidates it falsifies, and
-    variables absent from every clause can never be backbone.  Each survivor
+    variables absent from every clause can never be backbone.  A survivor
+    that the session holds true at level 0 is backbone with no solve; a
+    solve there would refute its assumption at once and learn nothing, so
+    skipping it leaves every later model as it was.  Each other survivor
     is confirmed by one solve under the opposing assumption.
     """
     session = workspace(kb.num_vars, kb.clauses)
@@ -31,6 +34,9 @@ def compute_backbone(kb: CnfFormula) -> tuple[int, ...]:
     backbone: list[int] = []
     for lit in sorted(candidates, key=abs):
         if lit not in candidates:
+            continue
+        if session.fixed(lit):
+            backbone.append(lit)
             continue
         res = session.solve([-lit])
         if res.satisfiable:

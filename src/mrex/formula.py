@@ -8,13 +8,18 @@ knowledge-base intersection) well defined.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from operator import ge
 from typing import Iterable, Iterator
 
 Literal = int
 Clause = tuple[int, ...]
 
 MAX_VARIABLE = 2**31 - 1
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+_EMPTY_CLAUSE = "empty clause present (formula is unsatisfiable)"
 
 
 class FormulaError(ValueError):
@@ -93,7 +98,7 @@ class CnfFormula:
                 )
                 continue
             if not clause:
-                warnings.append("empty clause present (formula is unsatisfiable)")
+                warnings.append(_EMPTY_CLAUSE)
             index[clause] = len(out)
             out.append(clause)
             if clause:
@@ -117,56 +122,101 @@ class CnfFormula:
         return self._append(clauses, self.num_vars, drop_tautologies=False)
 
 
+def _integer(tok: str) -> int | None:
+    """tok's value when it is a DIMACS integer, `-?[0-9]+`, else None.
+    int() alone also reads `+`, `_` and non-ASCII digits."""
+    if _DECIMAL.fullmatch(tok) is None:
+        return None
+    try:
+        return int(tok)
+    except ValueError:  # more digits than int() converts
+        return None
+
+
+def _first_bad_token(tokens: Iterable[str]) -> DimacsParseError:
+    """The error for the first token, in file order, that is no DIMACS
+    integer or names a variable out of range."""
+    for tok in tokens:
+        lit = _integer(tok)
+        if lit is None:
+            return DimacsParseError(f"bad token {tok!r}")
+        if abs(lit) > MAX_VARIABLE:
+            return DimacsParseError(f"variable {abs(lit)} exceeds supported range")
+    raise AssertionError("every token is a DIMACS integer in range")
+
+
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF: comment lines `c ...`, one `p cnf V C` header, then
-    zero-terminated clauses (which may span or share lines).
+    zero-terminated clauses (which may span or share lines).  Every number
+    is an ASCII decimal integer, `-?[0-9]+`.
 
     Duplicate clauses are merged and tautologies dropped, both recorded in
-    formula warnings.  num_vars is the max of the header value and the
-    largest variable used.
+    formula warnings, as are a variable above the header's count and a
+    clause count other than the header's.  num_vars is the max of the
+    header value and the largest variable used.
+
+    A file whose clauses are all already normal (strictly increasing in
+    variable) and distinct, as write_dimacs writes them, becomes a
+    CnfFormula at once; any other goes through CnfFormula.from_clauses.
     """
     header: tuple[int, int] | None = None
-    tokens: list[str] = []
+    body: list[str] = []
     for line in text.splitlines():
         stripped = line.strip()
-        if not stripped or stripped[0] == "c":
-            continue
-        if stripped.startswith("p"):
+        # "" is in "cp" too: blank lines go with the comments
+        if stripped[:1] not in "cp":
+            body.append(stripped)
+        elif stripped[:1] == "p":
             if header is not None:
                 raise DimacsParseError("duplicate `p cnf` header")
             parts = stripped.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            counts = [_integer(x) for x in parts[2:]]
+            if len(parts) != 4 or parts[1] != "cnf" or None in counts:
                 raise DimacsParseError(f"malformed header: {stripped!r}")
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError as exc:
-                raise DimacsParseError(f"malformed header: {stripped!r}") from exc
+            header = (counts[0], counts[1])
             if header[0] < 0 or header[1] < 0:
                 raise DimacsParseError(f"negative counts in header: {stripped!r}")
-            continue
-        tokens.extend(stripped.split())
     if header is None:
         raise DimacsParseError("missing `p cnf` header")
 
-    clauses: list[list[int]] = []
-    current: list[int] = []
-    for tok in tokens:
-        try:
-            lit = int(tok)
-        except ValueError as exc:
-            raise DimacsParseError(f"bad token {tok!r}") from exc
-        if lit == 0:
-            clauses.append(current)
-            current = []
-            continue
-        if abs(lit) > MAX_VARIABLE:
-            raise DimacsParseError(f"variable {abs(lit)} exceeds supported range")
-        current.append(lit)
-    if current:
+    tokens = " ".join(body).split()
+    joined = "".join(tokens)
+    # beyond `-?[0-9]+`, int() reads only tokens with `+`, `_` or a
+    # non-ASCII digit
+    if not joined.isascii() or "_" in joined or "+" in joined:
+        raise _first_bad_token(tokens)
+    try:
+        lits = tuple(map(int, tokens))
+    except ValueError:
+        raise _first_bad_token(tokens) from None
+    sizes = list(map(abs, lits))
+    top = max(sizes, default=0)
+    if top > MAX_VARIABLE:
+        raise _first_bad_token(tokens)
+    if lits and lits[-1] != 0:
         raise DimacsParseError("clause missing its 0 terminator at end of input")
 
-    formula = CnfFormula.from_clauses(clauses, num_vars=header[0], drop_tautologies=True)
+    clauses: list[Clause] = []
+    start = 0
+    find = lits.index
+    for _ in range(lits.count(0)):
+        end = find(0, start)
+        clauses.append(lits[start:end])
+        start = end + 1
+    # Every clause is normal, its variables strictly increasing, exactly
+    # when neighbouring tokens fail to increase in variable only where the
+    # second one is a terminator.
+    terminators = len(clauses) - (lits[:1] == (0,))
+    normal = sum(map(ge, sizes, sizes[1:])) == terminators
+    distinct = set(clauses)
+    if normal and len(distinct) == len(clauses):
+        formula = CnfFormula(tuple(clauses), max(header[0], top),
+                             (_EMPTY_CLAUSE,) if () in distinct else ())
+    else:
+        formula = CnfFormula.from_clauses(clauses, num_vars=header[0], drop_tautologies=True)
     warnings = list(formula.warnings)
+    if top > header[0]:
+        warnings.append(f"header announced {header[0]} variables, found variable {top}")
     if len(clauses) != header[1]:
         warnings.append(f"header announced {header[1]} clauses, found {len(clauses)}")
     return CnfFormula(formula.clauses, formula.num_vars, tuple(warnings))
@@ -188,10 +238,9 @@ def parse_literal_list(text: str) -> CnfFormula:
         if not stripped or stripped.startswith("c "):
             continue
         for tok in stripped.split():
-            try:
-                lit = int(tok)
-            except ValueError as exc:
-                raise DimacsParseError(f"bad literal token {tok!r}") from exc
+            lit = _integer(tok)
+            if lit is None:
+                raise DimacsParseError(f"bad literal token {tok!r}")
             if lit == 0:
                 continue
             lits.append(lit)

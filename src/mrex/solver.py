@@ -248,6 +248,14 @@ class SatSession:
         base = self.num_vars + 1
         return {x - base for x in result.conflict_subset if x >= base}
 
+    def fixed(self, lit: int) -> bool:
+        """Whether lit is assigned true at level 0, where only the hard
+        clauses and the learnt clauses they entail assign: then every
+        model of the hard clauses makes lit true."""
+        v = lit if lit > 0 else -lit
+        a = self._assign[v]
+        return a != 0 and self._level[v] == 0 and (a == 1) == (lit > 0)
+
     def satisfied_ids(self, model: tuple[bool, ...], skip: Container[int],
                       start: int) -> list[int]:
         """Positions from start on, outside skip, whose soft clause the

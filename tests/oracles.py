@@ -6,6 +6,9 @@ independent of the package's CDCL search, linear MCS scans, and deletion MUS
 loops.  Practical only for small variable counts, which is what the
 randomized test families use.
 
+parse_dimacs_reference is parse_dimacs's token-by-token reference; every
+clause goes through the package's one normaliser.
+
 Four exceptions use the package's SAT solver.  brute_force_min_update
 takes the package's consistency repair as given, and above 20 variables it
 falls back to the solver.  verify_by_probing is the verifier's plain
@@ -255,6 +258,73 @@ def extract_mcs_by_lists(ws, seed: Iterable[int] = ()):
     if not mcs:
         raise NothingToCorrectError("hard and soft clauses are jointly satisfiable")
     return McsResult(mcs)
+
+
+def _dimacs_int(tok: str) -> int | None:
+    """tok's value when it is an ASCII decimal integer, `-?[0-9]+`."""
+    digits = tok[1:] if tok.startswith("-") else tok
+    if not digits or any(ch not in "0123456789" for ch in digits):
+        return None
+    try:
+        return int(tok)
+    except ValueError:  # more digits than int() converts
+        return None
+
+
+def parse_dimacs_reference(text: str):
+    """parse_dimacs's plain reference: one token at a time, every clause
+    through CnfFormula.from_clauses, so the same clauses, num_vars,
+    warnings and errors (type and message) in the same file order."""
+    from mrex.formula import MAX_VARIABLE, CnfFormula, DimacsParseError
+
+    header: tuple[int, int] | None = None
+    tokens: list[str] = []
+    for line in text.splitlines():
+        stripped = line.strip()
+        if not stripped or stripped[0] == "c":
+            continue
+        if stripped.startswith("p"):
+            if header is not None:
+                raise DimacsParseError("duplicate `p cnf` header")
+            parts = stripped.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise DimacsParseError(f"malformed header: {stripped!r}")
+            vars_, count = _dimacs_int(parts[2]), _dimacs_int(parts[3])
+            if vars_ is None or count is None:
+                raise DimacsParseError(f"malformed header: {stripped!r}")
+            header = (vars_, count)
+            if header[0] < 0 or header[1] < 0:
+                raise DimacsParseError(f"negative counts in header: {stripped!r}")
+            continue
+        tokens.extend(stripped.split())
+    if header is None:
+        raise DimacsParseError("missing `p cnf` header")
+
+    clauses: list[list[int]] = []
+    current: list[int] = []
+    top = 0
+    for tok in tokens:
+        lit = _dimacs_int(tok)
+        if lit is None:
+            raise DimacsParseError(f"bad token {tok!r}")
+        if lit == 0:
+            clauses.append(current)
+            current = []
+            continue
+        if abs(lit) > MAX_VARIABLE:
+            raise DimacsParseError(f"variable {abs(lit)} exceeds supported range")
+        top = max(top, abs(lit))
+        current.append(lit)
+    if current:
+        raise DimacsParseError("clause missing its 0 terminator at end of input")
+
+    formula = CnfFormula.from_clauses(clauses, num_vars=header[0], drop_tautologies=True)
+    warnings = list(formula.warnings)
+    if top > header[0]:
+        warnings.append(f"header announced {header[0]} variables, found variable {top}")
+    if len(clauses) != header[1]:
+        warnings.append(f"header announced {header[1]} clauses, found {len(clauses)}")
+    return CnfFormula(formula.clauses, formula.num_vars, tuple(warnings))
 
 
 def feasible_by_sat(encoding, plan) -> bool:

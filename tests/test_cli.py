@@ -287,6 +287,25 @@ class TestBackboneCommand:
         assert code == EXIT_OK
         assert not [l for l in out.splitlines() if l.startswith("warn ")]
 
+    def test_variable_above_header_warns(self, tmp_path, capsys):
+        kb = tmp_path / "kb.cnf"
+        kb.write_text("p cnf 1 1\n7 0\n")
+        code, out = run(capsys, "backbone", kb, "--format", "records")
+        assert code == EXIT_OK
+        assert "kb name=kb vars=7 clauses=1" in out.splitlines()
+        assert [l for l in out.splitlines() if l.startswith("warn ")] == [
+            "warn kb=kb msg=header announced 1 variables, found variable 7"]
+        code, out = run(capsys, "backbone", kb)
+        assert code == EXIT_OK
+        assert "warning: kb: header announced 1 variables, found variable 7" in out.splitlines()
+
+    def test_non_decimal_token_is_a_parse_error(self, tmp_path, capsys):
+        """int() reads `1_0` as 10; DIMACS does not."""
+        kb = tmp_path / "kb.cnf"
+        kb.write_text("p cnf 20 2\n1_0 2 0\n-1_0 0\n")
+        code, _ = run(capsys, "backbone", kb, "--format", "records")
+        assert code == EXIT_PARSE
+
 
 class TestTweakCnfCommand:
     def _kb(self, tmp_path) -> Path:

@@ -19,7 +19,7 @@ from mrex.formula import (
     write_dimacs,
 )
 
-from oracles import formula_mask, random_cnf
+from oracles import formula_mask, parse_dimacs_reference, random_cnf
 
 
 def test_normalize_sorts_and_dedups():
@@ -143,10 +143,125 @@ def test_parse_dimacs_header_checks():
 
 
 def test_parse_dimacs_num_vars_envelope():
+    """num_vars is the larger of the header's count and the largest
+    variable; a variable above the header's count warns, before a wrong
+    clause count does."""
     f = parse_dimacs("p cnf 9 1\n1 0\n")
     assert f.num_vars == 9
+    assert f.warnings == ()
     g = parse_dimacs("p cnf 1 1\n7 0\n")
     assert g.num_vars == 7
+    assert g.warnings == ("header announced 1 variables, found variable 7",)
+    h = parse_dimacs("p cnf 2 2\n2 0\n-1 -5 0\n1 0\n")
+    assert h.num_vars == 5
+    assert h.warnings == ("header announced 2 variables, found variable 5",
+                          "header announced 2 clauses, found 3")
+
+
+@pytest.mark.parametrize("token", ["1_0", "+1", "\uff11", "\u0663", "1" * 5000])
+def test_integer_tokens_are_ascii_decimals(token):
+    """int() also reads `_`, `+` and non-ASCII digits, and refuses an
+    integer of more than 4300 digits; each is a bad token, wherever it
+    stands."""
+    with pytest.raises(DimacsParseError, match="^bad token"):
+        parse_dimacs(f"p cnf 20 2\n{token} 2 0\n-3 0\n")
+    with pytest.raises(DimacsParseError, match="^malformed header"):
+        parse_dimacs(f"p cnf {token} 1\n1 0\n")
+    with pytest.raises(DimacsParseError, match="^malformed header"):
+        parse_dimacs(f"p cnf 3 {token}\n1 0\n")
+    with pytest.raises(DimacsParseError, match="^bad literal token"):
+        parse_literal_list(f"1\n{token} -2\n")
+
+
+def test_parse_dimacs_reports_the_first_fault_in_file_order():
+    with pytest.raises(DimacsParseError, match="bad token '1_0'"):
+        parse_dimacs(f"p cnf 20 2\n1_0 {2**31} 0\nfoo 0\n")
+    with pytest.raises(DimacsParseError, match=f"variable {2**31} exceeds"):
+        parse_dimacs(f"p cnf 20 2\n1 -{2**31} 0\nfoo 1_0 0\n")
+    with pytest.raises(DimacsParseError, match="bad token 'foo'"):
+        parse_dimacs("p cnf 20 2\n1 2 0\nfoo 3\n")
+
+
+def _random_dimacs(rng: random.Random) -> str:
+    """DIMACS-like text: normal or shuffled clauses with repeated literals,
+    tautologies, duplicates and empty clauses, comments and blank lines,
+    header counts that may miss, and sometimes a bad or out-of-range token
+    or a missing terminator."""
+    num_vars = rng.randint(1, 8)
+    clauses = [list(c) for c in random_cnf(rng, num_vars, rng.randint(0, 10))]
+    normal = rng.random() < 0.4
+    if not normal:
+        for c in clauses:
+            rng.shuffle(c)
+        for _ in range(rng.randint(0, 3)):
+            c = rng.choice(clauses) if clauses else []
+            kind = rng.randrange(4)
+            if kind == 0:
+                clauses.append(c + c[:1])  # a repeated literal
+            elif kind == 1:
+                v = rng.randint(1, num_vars + 2)
+                clauses.append(c + [v, -v])  # a tautology
+            elif kind == 2:
+                clauses.append(c[::-1])  # a duplicate
+            else:
+                clauses.append([])
+            rng.shuffle(clauses)
+    tokens = [str(l) for c in clauses for l in (*c, 0)]
+    if rng.random() < 0.2:
+        bad = rng.choice(["x", "1_0", "+2", "\uff13", "-", "2.0", "--1",
+                          str(2**31), str(-(2**31)), str(2**40)])
+        tokens.insert(rng.randint(0, len(tokens)), bad)
+        if rng.random() < 0.5:  # a second fault, before or after the first
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice(["y", str(2**32)]))
+    if tokens and rng.random() < 0.1:
+        tokens.pop()  # the last clause loses its terminator
+    lines: list[str] = []
+    while tokens:
+        take = rng.randint(1, 6)
+        lines.append(" ".join(tokens[:take]))
+        del tokens[:take]
+    for _ in range(rng.randint(0, 3)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["c note", "", "  c", "c 1 2 0"]))
+    header_vars = num_vars + rng.choice([0, 0, 0, -1, 2])
+    header_count = len(clauses) + rng.choice([0, 0, 0, 1, -1])
+    lines.insert(rng.randint(0, len(lines) // 3), f"p cnf {header_vars} {header_count}")
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text):
+    try:
+        f = parse(text)
+    except FormulaError as exc:
+        return type(exc), str(exc)
+    return f.clauses, f.num_vars, f.warnings
+
+
+def test_parse_dimacs_matches_the_reference_parser():
+    rng = random.Random(27)
+    kinds = set()
+    for _ in range(600):
+        text = _random_dimacs(rng)
+        got = _outcome(parse_dimacs, text)
+        assert got == _outcome(parse_dimacs_reference, text), text
+        kinds.add(got[0] if isinstance(got[0], type) else bool(got[2]))
+    assert kinds == {DimacsParseError, True, False}
+
+
+def test_written_dimacs_bypasses_from_clauses(monkeypatch):
+    """write_dimacs writes clauses that are normal and distinct, so
+    parse_dimacs builds their formula without the normaliser."""
+    rng = random.Random(11)
+    formulas = [CnfFormula.from_clauses(random_cnf(rng, n, rng.randint(0, 15)), n)
+                for n in rng.choices(range(1, 10), k=100)]
+    formulas.append(CnfFormula.from_clauses([(1, -3), (), (2,)]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("from_clauses called")
+
+    monkeypatch.setattr(CnfFormula, "from_clauses", refuse)
+    for f in formulas:
+        g = parse_dimacs(write_dimacs(f))
+        assert (g.clauses, g.num_vars, g.warnings) == (f.clauses, f.num_vars, f.warnings)
 
 
 def test_dimacs_round_trip_random():
