@@ -86,46 +86,8 @@ EXIT_TIMEOUT = 12
 EXIT_VERIFY = 13
 EXIT_CAP = 14
 
-DEFAULT_TIMEOUT = 1500.0
-
 TWEAK_CNF_RATES = {9: 0.1, 10: 0.2, 11: 0.3, 12: 0.4}
 TRIM_RATE = 0.2
-
-# --mode and --timeout configure the search; --seed goes to every subcommand
-# that draws at random, and to reconcile, whose callers pass it.
-SEARCHING = ("reconcile", "explain-plan")
-SEEDED = ("reconcile", "explain-plan", "tweak-cnf", "tweak-model", "backbone")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation parameters; echoed into every report."""
-
-    command: str
-    inputs: tuple[str, ...]
-    mode: str = GENERAL
-    seed: int = 0
-    timeout: float = DEFAULT_TIMEOUT
-    scenario: int | None = None
-    query: str | None = None
-    out: str | None = None
-    fmt: str = "text"
-    k: int = 0
-    count: int = 2
-    horizon: int | None = None
-    include_goal: bool = False
-    plan: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.timeout > 0:  # also rejects NaN
-            raise ValueError("time limit must be positive")
-        if self.count < 1:
-            raise ValueError("removal count must be at least 1")
-        if self.k < 0:
-            raise ValueError("sample size k must be nonnegative")
-        if self.horizon is not None and self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
-
 
 @dataclass
 class Report:
@@ -167,7 +129,7 @@ class CliError(Exception):
         self.code = code
 
 
-def _start(config: RunConfig) -> Report:
+def _start(config: argparse.Namespace) -> Report:
     if config.out:
         # explain-plan's --out names a directory, every other one a file;
         # a location that cannot hold it fails here, before any work.
@@ -175,15 +137,9 @@ def _start(config: RunConfig) -> Report:
         _make_dir(config.out, out if config.command == "explain-plan" else out.parent)
     report = Report()
     fields: dict[str, object] = {"command": config.command}
-    if config.command in SEEDED:
-        fields["seed"] = config.seed
-    if config.command in SEARCHING:
-        fields["mode"] = config.mode
-        fields["timeout"] = config.timeout
-    if config.scenario is not None:
-        fields["scenario"] = config.scenario
-    if config.horizon is not None:
-        fields["horizon"] = config.horizon
+    for key in ("seed", "mode", "timeout", "scenario", "horizon"):
+        if key in config:  # the subcommand takes this option
+            fields[key] = getattr(config, key)
     report.record("run", **fields)
     report.text(f"{config.command}:" + "".join(
         f" {key}={fields[key]}" for key in ("seed", "mode") if key in fields))
@@ -218,24 +174,21 @@ def _write_artifact(path: str, content: str, report: Report) -> None:
 
 
 def _parse_cnf(path: str, report: Report, label: str) -> CnfFormula:
+    """Parse a DIMACS kb, or with label "query" a query file, and report
+    its warnings; a kb also gets a `kb` record."""
+    query = label == "query"
     try:
-        formula = parse_dimacs(_read_input(path, report))
+        formula = (parse_query_text if query else parse_dimacs)(_read_input(path, report))
     except FormulaError as exc:
         raise CliError(EXIT_PARSE, f"{label}: {exc}") from exc
-    report.record(
-        "kb", name=label, vars=formula.num_vars, clauses=len(formula.clauses)
-    )
+    if not query:
+        report.record(
+            "kb", name=label, vars=formula.num_vars, clauses=len(formula.clauses)
+        )
     for msg in formula.warnings:
         report.record("warn", kb=label, msg=msg)
         report.text(f"warning: {label}: {msg}")
     return formula
-
-
-def _parse_query(path: str, report: Report) -> CnfFormula:
-    try:
-        return parse_query_text(_read_input(path, report))
-    except FormulaError as exc:
-        raise CliError(EXIT_PARSE, f"query: {exc}") from exc
 
 
 def _reconcile_stage(
@@ -290,11 +243,11 @@ def _reconcile_stage(
     return EXIT_OK, expl, verification, records
 
 
-def cmd_reconcile(config: RunConfig) -> tuple[Report, int]:
+def cmd_reconcile(config: argparse.Namespace) -> tuple[Report, int]:
     report = _start(config)
-    kb_a = _parse_cnf(config.inputs[0], report, "kb_a")
-    kb_h = _parse_cnf(config.inputs[1], report, "kb_h")
-    query = _parse_query(config.query, report)
+    kb_a = _parse_cnf(config.kb_a, report, "kb_a")
+    kb_h = _parse_cnf(config.kb_h, report, "kb_h")
+    query = _parse_cnf(config.query, report, "query")
     problem = ReconcileProblem(kb_a, kb_h, query, mode=config.mode)
     code, expl, _verification, records = _reconcile_stage(report, problem, config.timeout)
     if expl is not None and config.out:
@@ -302,14 +255,14 @@ def cmd_reconcile(config: RunConfig) -> tuple[Report, int]:
     return report, code
 
 
-def cmd_verify(config: RunConfig) -> tuple[Report, int]:
+def cmd_verify(config: argparse.Namespace) -> tuple[Report, int]:
     report = _start(config)
-    kb_h = _parse_cnf(config.inputs[0], report, "kb_h")
+    kb_h = _parse_cnf(config.kb_h, report, "kb_h")
     try:
-        roles = parse_explanation_records(_read_input(config.inputs[1], report))
+        roles = parse_explanation_records(_read_input(config.explanation, report))
     except ValueError as exc:
         raise CliError(EXIT_PARSE, f"explanation: {exc}") from exc
-    query = _parse_query(config.query, report)
+    query = _parse_cnf(config.query, report, "query")
     support = roles.get("support", [])
     removed = set(roles.get("removed", []))
     kept = [c for c in kb_h.clauses if c not in removed]
@@ -329,9 +282,9 @@ def cmd_verify(config: RunConfig) -> tuple[Report, int]:
 # backbone
 
 
-def cmd_backbone(config: RunConfig) -> tuple[Report, int]:
+def cmd_backbone(config: argparse.Namespace) -> tuple[Report, int]:
     report = _start(config)
-    kb = _parse_cnf(config.inputs[0], report, "kb")
+    kb = _parse_cnf(config.kb, report, "kb")
     try:
         backbone = compute_backbone(kb)
     except UnsatisfiableError as exc:
@@ -368,7 +321,8 @@ def tweak_cnf(
     formula: CnfFormula, scenario: int, seed: int
 ) -> tuple[CnfFormula, list[str]]:
     """Remove ⌈p·m⌉ clauses, then trim ⌈0.2·len⌉ literals from ⌈p·m⌉ of the
-    surviving multi-literal clauses (unit clauses are skipped and logged)."""
+    surviving multi-literal clauses (unit clauses are skipped and logged).
+    Survivors that trimming made equal are merged into one clause."""
     if scenario not in TWEAK_CNF_RATES:
         raise CliError(EXIT_USAGE, f"unknown CNF scenario {scenario}")
     rate = TWEAK_CNF_RATES[scenario]
@@ -398,17 +352,18 @@ def tweak_cnf(
         trimmed += 1
         log.append(format_record("trim", index=idx, removed=sorted(gone, key=abs),
                                  before=before, after=len(clause)))
-    log.append(format_record("stat", clauses_before=m, clauses_after=len(survivors),
-                             removed=len(removed), trimmed=trimmed, skipped=skipped))
     out = CnfFormula.from_clauses(
         (survivors[i] for i in sorted(survivors)), num_vars=formula.num_vars
     )
+    log.append(format_record("stat", clauses_before=m, clauses_after=len(out.clauses),
+                             removed=len(removed), trimmed=trimmed, skipped=skipped,
+                             merged=len(survivors) - len(out.clauses)))
     return out, log
 
 
-def cmd_tweak_cnf(config: RunConfig) -> tuple[Report, int]:
+def cmd_tweak_cnf(config: argparse.Namespace) -> tuple[Report, int]:
     report = _start(config)
-    kb = _parse_cnf(config.inputs[0], report, "kb")
+    kb = _parse_cnf(config.kb, report, "kb")
     tweaked, log = tweak_cnf(kb, config.scenario, config.seed)
     for line in log:
         report.raw_record(line)
@@ -425,16 +380,16 @@ def cmd_tweak_cnf(config: RunConfig) -> tuple[Report, int]:
 # planning commands
 
 
-def _parse_planning_inputs(config: RunConfig, report: Report):
-    domain_text = _read_input(config.inputs[0], report)
-    problem_text = _read_input(config.inputs[1], report)
+def _parse_planning_inputs(config: argparse.Namespace, report: Report):
+    domain_text = _read_input(config.domain, report)
+    problem_text = _read_input(config.problem, report)
     problem = ground(parse_pddl(domain_text, problem_text))
     report.record("ground", fluents=len(problem.fluents),
                   actions=len(problem.actions))
     return problem
 
 
-def cmd_tweak_model(config: RunConfig) -> tuple[Report, int]:
+def cmd_tweak_model(config: argparse.Namespace) -> tuple[Report, int]:
     report = _start(config)
     problem = _parse_planning_inputs(config, report)
     tweaked = tweak_model(problem, config.scenario, config.seed,
@@ -468,7 +423,7 @@ def _model_listing(problem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_encode_plan(config: RunConfig) -> tuple[Report, int]:
+def cmd_encode_plan(config: argparse.Namespace) -> tuple[Report, int]:
     report = _start(config)
     problem = _parse_planning_inputs(config, report)
     enc = encode_bounded(problem, config.horizon, include_goal=config.include_goal)
@@ -499,7 +454,7 @@ class ExplainPlanResult:
     encoding: BoundedEncoding | None = None
 
 
-def run_explain_plan(config: RunConfig) -> ExplainPlanResult:
+def run_explain_plan(config: argparse.Namespace) -> ExplainPlanResult:
     report = _start(config)
     problem = _parse_planning_inputs(config, report)
 
@@ -586,20 +541,9 @@ def run_explain_plan(config: RunConfig) -> ExplainPlanResult:
                              encoding=enc_a)
 
 
-def cmd_explain_plan(config: RunConfig) -> tuple[Report, int]:
+def cmd_explain_plan(config: argparse.Namespace) -> tuple[Report, int]:
     result = run_explain_plan(config)
     return result.report, result.exit_code
-
-
-COMMANDS = {
-    "reconcile": cmd_reconcile,
-    "explain-plan": cmd_explain_plan,
-    "tweak-cnf": cmd_tweak_cnf,
-    "tweak-model": cmd_tweak_model,
-    "backbone": cmd_backbone,
-    "verify": cmd_verify,
-    "encode-plan": cmd_encode_plan,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -615,55 +559,60 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, **kwargs) -> argparse.ArgumentParser:
-        # An option left out stays off the namespace, so RunConfig's
-        # default applies: each default is written once.
-        p = sub.add_parser(name, argument_default=argparse.SUPPRESS, **kwargs)
-        if name in SEARCHING:
-            p.add_argument("--mode", choices=[GENERAL, RESTRICTED],
+    def add(name: str, run, *, mode: str | None = None, seeded: bool = True,
+            **kwargs) -> argparse.ArgumentParser:
+        # A subcommand that searches takes --mode (default `mode`) and
+        # --timeout; one that draws at random, and reconcile, takes --seed.
+        p = sub.add_parser(name, **kwargs)
+        if mode is not None:
+            p.add_argument("--mode", choices=[GENERAL, RESTRICTED], default=mode,
                            help="where support clauses may come from")
-            p.add_argument("--timeout", type=float,
-                           help=f"time limit in seconds (default {DEFAULT_TIMEOUT:g})")
-        if name in SEEDED:
-            p.add_argument("--seed", type=int)
-        p.add_argument("--format", dest="fmt", choices=["text", "records"])
+            p.add_argument("--timeout", type=float, default=1500.0,
+                           help="time limit in seconds (default %(default)g)")
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--format", dest="fmt", choices=["text", "records"],
+                       default="text")
         p.add_argument("--out", help="output path")
+        p.set_defaults(run=run)
         return p
 
-    p = add("reconcile", help="explain a query to a CNF kb_h")
+    def perturbed_model(p: argparse.ArgumentParser, count_help: str | None = None) -> None:
+        p.add_argument("domain")
+        p.add_argument("problem")
+        p.add_argument("--scenario", type=int, choices=range(1, 9), required=True)
+        p.add_argument("--count", type=int, default=2, help=count_help)
+
+    p = add("reconcile", cmd_reconcile, mode=GENERAL,
+            help="explain a query to a CNF kb_h")
     p.add_argument("kb_a")
     p.add_argument("kb_h")
     p.add_argument("--query", required=True)
 
-    p = add("explain-plan", help="explain plan optimality to a perturbed model")
-    p.add_argument("domain")
-    p.add_argument("problem")
-    p.add_argument("--scenario", type=int, choices=range(1, 9), required=True)
-    p.add_argument("--count", type=int,
-                   help="removals per action/state for scenarios 4 and 6")
+    p = add("explain-plan", cmd_explain_plan, mode=RESTRICTED,
+            help="explain plan optimality to a perturbed model")
+    perturbed_model(p, "removals per action/state for scenarios 4 and 6")
     p.add_argument("--plan", help="plan file (default: search for an optimal plan)")
-    p.set_defaults(mode=RESTRICTED)
 
-    p = add("tweak-cnf", help="perturb a CNF knowledge base")
+    p = add("tweak-cnf", cmd_tweak_cnf, help="perturb a CNF knowledge base")
     p.add_argument("kb")
     p.add_argument("--scenario", type=int, choices=range(9, 13), required=True)
 
-    p = add("tweak-model", help="perturb a grounded planning model")
-    p.add_argument("domain")
-    p.add_argument("problem")
-    p.add_argument("--scenario", type=int, choices=range(1, 9), required=True)
-    p.add_argument("--count", type=int)
+    p = add("tweak-model", cmd_tweak_model, help="perturb a grounded planning model")
+    perturbed_model(p)
 
-    p = add("backbone", help="derive a backbone-literal query")
+    p = add("backbone", cmd_backbone, help="derive a backbone-literal query")
     p.add_argument("kb")
-    p.add_argument("--k", type=int, help="sample size (0 = all backbone literals)")
+    p.add_argument("--k", type=int, default=0,
+                   help="sample size (0 = all backbone literals)")
 
-    p = add("verify", help="check an explanation file")
+    p = add("verify", cmd_verify, seeded=False, help="check an explanation file")
     p.add_argument("kb_h")
     p.add_argument("explanation")
     p.add_argument("--query", required=True)
 
-    p = add("encode-plan", help="write a bounded planning encoding")
+    p = add("encode-plan", cmd_encode_plan, seeded=False,
+            help="write a bounded planning encoding")
     p.add_argument("domain")
     p.add_argument("problem")
     p.add_argument("--horizon", type=int, required=True)
@@ -671,24 +620,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = dict(vars(args))
-    inputs = tuple(
-        fields.pop(name)
-        for name in ("kb_a", "kb_h", "kb", "domain", "problem", "explanation")
-        if name in fields
-    )
-    try:
-        return RunConfig(inputs=inputs, **fields)
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from exc
+# The option values argparse lets through, checked in this order.
+_RANGES = (
+    ("timeout", lambda v: v > 0, "time limit must be positive"),  # NaN fails too
+    ("count", lambda v: v >= 1, "removal count must be at least 1"),
+    ("k", lambda v: v >= 0, "sample size k must be nonnegative"),
+    ("horizon", lambda v: v >= 0, "horizon must be nonnegative"),
+)
+
+
+def _check_ranges(config: argparse.Namespace) -> None:
+    for name, ok, message in _RANGES:
+        if name in config and not ok(getattr(config, name)):
+            raise CliError(EXIT_USAGE, message)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    config = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        report, code = COMMANDS[config.command](config)
+        _check_ranges(config)
+        report, code = config.run(config)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -233,7 +233,8 @@ def verify_explanation(
     total = env + len(neg.aux_vars)
     failures: list[str] = []
 
-    ws = workspace(total, kb_h_clauses + support, neg.clauses)
+    # each clause once: kb_h in order, then the support clauses not in it
+    ws = workspace(total, dict.fromkeys(kb_h_clauses + support), neg.clauses)
     entailed = not ws.solve_ids(range(len(ws.soft))).satisfiable
     if not entailed:
         failures.append("support with kb_h does not entail the query")

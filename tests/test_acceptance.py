@@ -17,7 +17,7 @@ import pytest
 import mrex.minsets as minsets
 import mrex.solver as solver
 from mrex.backbone import compute_backbone
-from mrex.cli import RunConfig, main, run_explain_plan, tweak_cnf
+from mrex.cli import _build_parser, main, run_explain_plan, tweak_cnf
 from mrex.formula import CnfFormula, negate_query
 from mrex.planning import (
     encode_bounded,
@@ -138,9 +138,9 @@ def _explain_plan_records(scenario: int, seed: int, domain: Path, problem: Path,
                           timeout: float = 280.0):
     """The CLI's explain-plan pipeline, in process and in restricted mode,
     returning the run's records plus the solved problem."""
-    config = RunConfig(command="explain-plan", inputs=(str(domain), str(problem)),
-                       mode=RESTRICTED, seed=seed, timeout=timeout,
-                       scenario=scenario)
+    config = _build_parser().parse_args([
+        "explain-plan", str(domain), str(problem), "--mode", RESTRICTED,
+        "--seed", str(seed), "--timeout", str(timeout), "--scenario", str(scenario)])
     result = run_explain_plan(config)
     assert result.explanation is not None, result.report.records
     return result.report.records, result.explanation, result.verification, result.problem

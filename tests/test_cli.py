@@ -225,6 +225,28 @@ class TestVerifyCommand:
         assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("query_text, msg", [
+    ("2 2\n", "clause (2,) at position 1 duplicates id 0; merged"),
+    ("p cnf 3 2\n1 -1 0\n3 0\n", "tautological clause (1, -1) dropped"),
+])
+def test_query_warnings_reported(tmp_path, capsys, query_text, msg):
+    """A query file that loses a clause to parsing says so under reconcile
+    and under verify, as a kb does, but gets no `kb` record."""
+    kb_a, kb_h, query = tmp_path / "kb_a.cnf", tmp_path / "kb_h.cnf", tmp_path / "q"
+    kb_a.write_text("p cnf 3 2\n2 0\n3 0\n")
+    kb_h.write_text("p cnf 3 1\n1 0\n")
+    query.write_text(query_text)
+    expl = tmp_path / "expl.records"
+    for argv in (["reconcile", kb_a, kb_h, "--query", query, "--out", expl],
+                 ["verify", kb_h, expl, "--query", query]):
+        code, out = run(capsys, *argv, "--format", "records")
+        assert code == EXIT_OK
+        assert f"warn kb=query msg={msg}" in out.splitlines()
+        assert "kb name=query" not in out
+        code, out = run(capsys, *argv)
+        assert code == EXIT_OK and f"warning: query: {msg}" in out.splitlines()
+
+
 class TestBackboneCommand:
     def test_all_literals(self, worked, capsys):
         kb_a, _, _ = worked
@@ -324,6 +346,23 @@ class TestTweakCnfCommand:
         assert out_file.exists()
         assert (tmp_path / "kb_h.cnf.log").read_text() == out
         assert "clauses_after=9" in out
+
+    def test_merged_trims_counted(self, tmp_path, capsys):
+        """Seed 0 trims (1 2) and (1 4) both to (1); the stat line counts the
+        merge, and clauses_after is the count of clauses written."""
+        kb = tmp_path / "kb.cnf"
+        kb.write_text("p cnf 4 5\n1 2 0\n1 3 0\n1 4 0\n2 3 0\n-1 2 0\n")
+        out_file = tmp_path / "kb_h.cnf"
+        code, out = run(capsys, "tweak-cnf", kb, "--scenario", "12", "--seed", "0",
+                        "--out", out_file, "--format", "records")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        stat = dict(f.split("=") for f in lines[-2].removeprefix("stat ").split())
+        assert stat["merged"] == "1"
+        assert (int(stat["clauses_before"]) - int(stat["removed"])
+                - int(stat["merged"]) == int(stat["clauses_after"]))
+        assert lines[-1] == f"kb name=kb_h vars=4 clauses={stat['clauses_after']}"
+        assert out_file.read_text() == "p cnf 4 2\n1 0\n1 3 0\n"
 
     def test_same_seed_identical_output(self, tmp_path, capsys):
         kb = self._kb(tmp_path)
@@ -610,6 +649,35 @@ _ARGS = {
     "verify": ["kb_h.cnf", "expl.records", "--query", "query.txt"],
     "encode-plan": [BLOCKS, TWO_BLOCKS, "--horizon", "1"],
 }
+
+# What each subcommand's required arguments parse to, beside its command,
+# its handler and the --format and --out that every subcommand takes.
+_PARSED = {
+    "reconcile": {"kb_a": "kb_a.cnf", "kb_h": "kb_h.cnf", "query": "query.txt",
+                  "seed": 0, "mode": "general", "timeout": 1500.0},
+    "explain-plan": {"domain": CHAIN_DOMAIN, "problem": CHAIN_PROBLEM, "scenario": 1,
+                     "seed": 0, "mode": "restricted", "timeout": 1500.0,
+                     "count": 2, "plan": None},
+    "tweak-cnf": {"kb": "kb_a.cnf", "scenario": 9, "seed": 0},
+    "tweak-model": {"domain": BLOCKS, "problem": TWO_BLOCKS, "scenario": 1,
+                    "seed": 0, "count": 2},
+    "backbone": {"kb": "kb_a.cnf", "seed": 0, "k": 0},
+    "verify": {"kb_h": "kb_h.cnf", "explanation": "expl.records", "query": "query.txt"},
+    "encode-plan": {"domain": BLOCKS, "problem": TWO_BLOCKS, "horizon": 1,
+                    "include_goal": False},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ARGS))
+def test_parser_holds_defaults_and_handler(command):
+    """The parser alone declares the CLI: parsing only the required
+    arguments gives every option the subcommand takes its default, names
+    the handler, and holds nothing the subcommand does not take."""
+    config = mrex.cli._build_parser().parse_args([command, *_ARGS[command]])
+    handler = getattr(mrex.cli, "cmd_" + command.replace("-", "_"))
+    assert vars(config) == {"command": command, "run": handler, "fmt": "text",
+                            "out": None, **_PARSED[command]}
+
 
 # The fields of each subcommand's `run` record: its command and the
 # options it accepts among --seed, --mode, --timeout, --scenario, --horizon.

@@ -8,7 +8,7 @@ import pytest
 
 import mrex.reconcile as reconcile_module
 from mrex import minsets
-from mrex.cli import RunConfig, run_explain_plan
+from mrex.cli import _build_parser, run_explain_plan
 from mrex.formula import CnfFormula
 from mrex.minsets import (
     Budget,
@@ -268,9 +268,9 @@ def test_mcs_test_keeps_the_seed_assumption_levels(monkeypatch):
 
 def _sussman_4_restricted():
     data = Path(__file__).parent / "data"
-    return run_explain_plan(RunConfig(
-        command="explain-plan", mode=RESTRICTED, seed=0, scenario=4,
-        inputs=(str(data / "blocksworld.pddl"), str(data / "sussman.pddl"))))
+    return run_explain_plan(_build_parser().parse_args([
+        "explain-plan", str(data / "blocksworld.pddl"), str(data / "sussman.pddl"),
+        "--mode", RESTRICTED, "--seed", "0", "--scenario", "4"]))
 
 
 def test_hitting_set_loop_session_counters_on_sussman_scenario_4(monkeypatch):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mrex.cli import RunConfig, run_explain_plan
+from mrex.cli import _build_parser, run_explain_plan
 from mrex.formula import CnfFormula, normalize_clause
 from mrex.reconcile import (
     RESTRICTED,
@@ -779,11 +779,10 @@ class TestEndToEnd:
     problem."""
 
     def _pipeline(self, scenario: int, seed: int):
-        config = RunConfig(
-            command="explain-plan",
-            inputs=(str(DATA / "chain-domain.pddl"), str(DATA / "chain-problem.pddl")),
-            mode=RESTRICTED, seed=seed, scenario=scenario,
-        )
+        config = _build_parser().parse_args([
+            "explain-plan", str(DATA / "chain-domain.pddl"),
+            str(DATA / "chain-problem.pddl"), "--mode", RESTRICTED,
+            "--seed", str(seed), "--scenario", str(scenario)])
         result = run_explain_plan(config)
         assert result.explanation is not None, result.report.records
         return result

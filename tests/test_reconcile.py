@@ -398,6 +398,21 @@ class TestVerifier:
         assert not report.consistent
         assert not report.ok
 
+    def test_each_hard_clause_loaded_once(self, monkeypatch):
+        """The entailment session loads kb_h ∪ support: kb_h in order, then
+        the support clauses kb_h lacks; (-3,) is in both and loads once."""
+        loads: dict[int, list] = {}
+        real = SatSession.add_hard
+
+        def add_hard(ws, clause):
+            loads.setdefault(id(ws), []).append(tuple(clause))
+            real(ws, clause)
+
+        monkeypatch.setattr(SatSession, "add_hard", add_hard)
+        assert verify_explanation(KB_H, [(1, 2), (-2, 3), (-3,)], QUERY_A).ok
+        entailment = next(iter(loads.values()))
+        assert entailment == [(-3,), (5,), (-2, 3), (1, 2)]
+
     def test_report_matches_one_solve_per_clause(self, monkeypatch):
         """Model rotation only skips probe solves that would answer SAT, so
         the report, failures in order, is that of one solve per clause: on
