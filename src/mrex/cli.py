@@ -140,6 +140,9 @@ def _start(config: argparse.Namespace) -> Report:
     for key in ("seed", "mode", "timeout", "scenario", "horizon"):
         if key in config:  # the subcommand takes this option
             fields[key] = getattr(config, key)
+    timeout = fields.get("timeout")
+    if timeout is not None and float(f"{timeout:.3f}") != timeout:
+        fields["timeout"] = repr(timeout)  # three decimals would lose it
     report.record("run", **fields)
     report.text(f"{config.command}:" + "".join(
         f" {key}={fields[key]}" for key in ("seed", "mode") if key in fields))
@@ -486,10 +489,8 @@ def run_explain_plan(config: argparse.Namespace) -> ExplainPlanResult:
         return ExplainPlanResult(report, EXIT_OK)
 
     enc_a = encode_bounded(problem, n, include_goal=False)
-    enc_h = encode_bounded(
-        tweaked.problem, n, include_goal=False,
-        fluent_order=enc_a.fluent_order, action_order=enc_a.action_order,
-    )
+    enc_h = encode_bounded(tweaked.problem, n, include_goal=False,
+                           action_order=enc_a.action_order)
     report.record("encode", kb="agent", vars=enc_a.cnf.num_vars,
                   clauses=len(enc_a.cnf.clauses))
     report.record("encode", kb="human", vars=enc_h.cnf.num_vars,

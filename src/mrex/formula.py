@@ -133,6 +133,14 @@ def _integer(tok: str) -> int | None:
         return None
 
 
+def parse_literal(tok: str) -> int:
+    """tok's value as a literal token, `-?[0-9]+`; DimacsParseError otherwise."""
+    lit = _integer(tok)
+    if lit is None:
+        raise DimacsParseError(f"bad literal token {tok!r}")
+    return lit
+
+
 def _first_bad_token(tokens: Iterable[str]) -> DimacsParseError:
     """The error for the first token, in file order, that is no DIMACS
     integer or names a variable out of range."""
@@ -238,9 +246,7 @@ def parse_literal_list(text: str) -> CnfFormula:
         if not stripped or stripped.startswith("c "):
             continue
         for tok in stripped.split():
-            lit = _integer(tok)
-            if lit is None:
-                raise DimacsParseError(f"bad literal token {tok!r}")
+            lit = parse_literal(tok)
             if lit == 0:
                 continue
             lits.append(lit)

@@ -6,17 +6,16 @@ at-least-one clause plus pairwise at-most-one clauses force exactly one
 action per step.  Step 0 carries the closed-world initial state; the goal
 can be emitted as units at the horizon.
 
-Variables are numbered from the fluent_order F, the action_order A and the
-horizon h alone: fluent F[i] at step t (0 <= t <= h) is t·|F| + i + 1, and
-action A[j] at step t (0 <= t < h) is (h+1)·|F| + t·|A| + j + 1.
+Variables are numbered from the problem's fluents F, the action_order A and
+the horizon h alone: fluent F[i] at step t (0 <= t <= h) is t·|F| + i + 1,
+and action A[j] at step t (0 <= t < h) is (h+1)·|F| + t·|A| + j + 1.
 BoundedEncoding.fluent_var and action_var compute that numbering and
 name_of inverts it; nothing else maps a fluent or action step to a variable.
 
-Two encodings share one variable space when built with the same
-fluent_order/action_order, which is how an agent's knowledge base and a
-degraded user model stay comparable clause-for-clause: an action or fluent
-missing from the weaker model keeps its variable but contributes no
-clauses.
+A tweaked model keeps the agent's fluents, so two encodings built with one
+action_order share one variable space, which is how an agent's knowledge
+base and a degraded user model stay comparable clause-for-clause: an action
+missing from the weaker model keeps its variable but contributes no clauses.
 
 The encoder keeps no per-clause origins.  One helper, _step_clauses, writes
 an action step's pre/add/del clauses; encode_bounded emits through it, and
@@ -48,27 +47,26 @@ class BoundedEncoding:
     problem: PlanningProblem
     horizon: int
     cnf: CnfFormula
-    fluent_order: tuple[GroundAtom, ...]
     action_order: tuple[str, ...]
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        self._fluent_index = {f: i for i, f in enumerate(self.fluent_order)}
+        self._fluent_index = {f: i for i, f in enumerate(self.problem.fluents)}
         self._action_index = {lbl: j for j, lbl in enumerate(self.action_order)}
         # action labels that are also fluent names, shown as `do:<label>`
-        self._clashes = set(self.action_order) & set(map(str, self.fluent_order))
+        self._clashes = set(self.action_order) & set(map(str, self.problem.fluents))
 
     def fluent_var(self, atom: GroundAtom, t: int) -> int:
         i = self._fluent_index.get(atom)
         if i is None or not 0 <= t <= self.horizon:
             raise PlanningError(f"unknown name {str(atom)!r} at step {t}")
-        return t * len(self.fluent_order) + i + 1
+        return t * len(self.problem.fluents) + i + 1
 
     def action_var(self, label: str, t: int) -> int:
         j = self._action_index.get(label)
         if j is None or not 0 <= t < self.horizon:
             raise PlanningError(f"unknown name {label!r} at step {t}")
-        nf, na = len(self.fluent_order), len(self.action_order)
+        nf, na = len(self.problem.fluents), len(self.action_order)
         return (self.horizon + 1) * nf + t * na + j + 1
 
     def name_of(self, var: int) -> str:
@@ -76,11 +74,11 @@ class BoundedEncoding:
         other.  An action labelled like a fluent shows as `do:<label>@<t>`,
         a prefix no PDDL name can carry, so every variable keeps a name of
         its own."""
-        nf, na = len(self.fluent_order), len(self.action_order)
+        nf, na = len(self.problem.fluents), len(self.action_order)
         offset = (self.horizon + 1) * nf
         if 0 < var <= offset:
             t, i = divmod(var - 1, nf)
-            return f"{self.fluent_order[i]}@{t}"
+            return f"{self.problem.fluents[i]}@{t}"
         if 0 < var - offset <= self.horizon * na:
             t, j = divmod(var - offset - 1, na)
             label = self.action_order[j]
@@ -110,28 +108,25 @@ def encode_bounded(
     n: int,
     include_goal: bool,
     *,
-    fluent_order: Sequence[GroundAtom] | None = None,
     action_order: Sequence[str] | None = None,
 ) -> BoundedEncoding:
     """CNF whose models are exactly the length-n executions of `problem`
     (reaching the goal when include_goal).
 
-    fluent_order/action_order fix the variable numbering; they default to
-    the problem's own universe and must cover it.
+    Fluents are numbered in the problem's order; action_order numbers the
+    actions, defaults to the problem's own and must cover them.
     """
     if n < 0:
         raise PlanningError("horizon must be nonnegative")
-    fluents = tuple(fluent_order) if fluent_order is not None else problem.fluents
     if action_order is not None:
         act_labels = tuple(action_order)
     else:
         act_labels = tuple(a.label for a in problem.actions)
-    if not set(problem.fluents) <= set(fluents):
-        raise PlanningError("fluent_order does not cover the problem's fluents")
     if not {a.label for a in problem.actions} <= set(act_labels):
         raise PlanningError("action_order does not cover the problem's actions")
+    fluents = problem.fluents
     num_vars = (n + 1) * len(fluents) + n * len(act_labels)
-    enc = BoundedEncoding(problem, n, CnfFormula((), num_vars), fluents, act_labels)
+    enc = BoundedEncoding(problem, n, CnfFormula((), num_vars), act_labels)
     fluent_var, action_var = enc.fluent_var, enc.action_var
 
     own_actions = problem.actions  # already canonically sorted
@@ -153,11 +148,9 @@ def encode_bounded(
         else:
             clauses[clause] = None
 
-    own_fluents = set(problem.fluents)
     for f in fluents:
-        if f in own_fluents:
-            v = fluent_var(f, 0)
-            emit((v if f in problem.init else -v,), "init", 0)
+        v = fluent_var(f, 0)
+        emit((v if f in problem.init else -v,), "init", 0)
 
     for t in range(n):
         for a in own_actions:
@@ -165,8 +158,6 @@ def encode_bounded(
                 emit(clause, kind, t)
         act_at = {a.label: action_var(a.label, t) for a in own_actions}
         for f in fluents:
-            if f not in own_fluents:
-                continue
             now, nxt = fluent_var(f, t), fluent_var(f, t + 1)
             emit((now, -nxt) + tuple(act_at[a] for a in adders[f]), "frame_on", t)
             emit((-now, nxt) + tuple(act_at[a] for a in deleters[f]), "frame_off", t)

@@ -105,7 +105,6 @@ class ActionSchema:
 @dataclass
 class LiftedTask:
     domain_name: str = ""
-    problem_name: str = ""
     requirements: tuple[str, ...] = ()
     types: dict[str, str] = field(default_factory=dict)  # type -> parent
     predicates: dict[str, tuple[str, ...]] = field(default_factory=dict)
@@ -283,7 +282,7 @@ def _parse_action(section: list) -> ActionSchema:
 def parse_problem(text: str, task: LiftedTask) -> LiftedTask:
     """A new task: the parsed domain's task with the problem half (objects,
     init, goal) filled in; the domain's task is left as it was."""
-    name, sections = _sections(text, "problem")
+    _, sections = _sections(text, "problem")
     objects = dict(task.objects)
     init: list[LiftedAtom] = []
     goal: list[LiftedAtom] = []
@@ -317,7 +316,7 @@ def parse_problem(text: str, task: LiftedTask) -> LiftedTask:
             if arg not in objects:
                 raise PddlParseError(f"unknown object {arg!r} in problem")
     return replace(
-        task, problem_name=name, objects=objects,
+        task, objects=objects,
         init=frozenset(GroundAtom(a.predicate, a.terms) for a in init),
         goal=frozenset(GroundAtom(a.predicate, a.terms) for a in goal),
     )

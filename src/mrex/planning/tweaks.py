@@ -41,8 +41,6 @@ class TweakRecord:
 @dataclass(frozen=True)
 class TweakedModel:
     problem: PlanningProblem
-    scenario: int
-    seed: int
     log: tuple[TweakRecord, ...]
 
 
@@ -101,12 +99,12 @@ def tweak_model(
         for atom in removed:
             log.append(TweakRecord(6, "init", atom=str(atom)))
         tweaked = problem.replace_init(problem.init - set(removed))
-        return TweakedModel(tweaked, scenario, seed, tuple(log))
+        return TweakedModel(tweaked, tuple(log))
 
     if scenario == 8:
         for a in problem.actions:
             log.append(TweakRecord(8, "action", a.label))
-        return TweakedModel(problem.replace_actions(()), scenario, seed, tuple(log))
+        return TweakedModel(problem.replace_actions(()), tuple(log))
 
     for action in problem.actions:
         a = action
@@ -131,4 +129,4 @@ def tweak_model(
                 log.append(TweakRecord(7, "del", a.label, str(atom)))
             a = replace(a, add=frozenset(), delete=frozenset())
         actions.append(a)
-    return TweakedModel(problem.replace_actions(actions), scenario, seed, tuple(log))
+    return TweakedModel(problem.replace_actions(actions), tuple(log))

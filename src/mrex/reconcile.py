@@ -21,7 +21,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .formula import Clause, CnfFormula, negate_query, intersect_kbs, normalize_clause
+from .formula import (Clause, CnfFormula, intersect_kbs, negate_query, normalize_clause,
+                      parse_literal)
 from .hitting import HittingSetInstance, min_hitting_set
 from .minsets import Budget, Rotation, _OutOfTime, extract_mcs, extract_mus, workspace
 
@@ -326,9 +327,11 @@ def parse_explanation_records(text: str) -> dict[str, list[Clause]]:
             continue
         fields = dict(p.split("=", 1) for p in parts[1:] if "=" in p)
         role = fields.get("role")
-        lits = fields.get("lits", "-")
         if role not in out:
             continue
-        clause = () if lits == "-" else normalize_clause(map(int, lits.split(",")))
+        if "lits" not in fields:
+            raise ValueError(f"clause record without lits: {line.strip()!r}")
+        lits = fields["lits"]
+        clause = () if lits == "-" else normalize_clause(map(parse_literal, lits.split(",")))
         out[role].append(clause)
     return out

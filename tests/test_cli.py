@@ -216,13 +216,37 @@ class TestVerifyCommand:
         assert code == EXIT_VERIFY
         assert "minimal=false" in out
 
-    @pytest.mark.parametrize("lits", ["0", "1,-1"])
+    @pytest.mark.parametrize("lits", ["0", "1,-1", "1_0", "-1_0", "+1", "\u0662", None])
     def test_malformed_clause_rejected(self, worked, tmp_path, capsys, lits):
+        """A clause record needs lits= (once read as the empty clause), and a
+        literal is -?[0-9]+ (int() reads 1_0 as 10 and the Arabic-Indic
+        digit as 2); the one error line names the offending token."""
         _, kb_h, query = worked
         bad = tmp_path / "bad.records"
-        bad.write_text(f"explanation mode=general\nclause role=support lits={lits}\n")
-        code, _ = run(capsys, "verify", kb_h, bad, "--query", query)
+        field = "" if lits is None else f" lits={lits}"
+        bad.write_text(f"explanation mode=general\nclause role=support{field}\n",
+                       encoding="utf-8")
+        code = main(["verify", str(kb_h), str(bad), "--query", str(query)])
+        err = capsys.readouterr().err
         assert code == EXIT_PARSE
+        assert err.startswith("error: explanation: ") and err.count("\n") == 1
+        assert (lits or "without lits").split(",")[-1] in err
+
+    def test_explain_plan_records_verify_without_their_repair_lines(self, tmp_path,
+                                                                     capsys):
+        """explain-plan's full records carry `clause role=repair` lines,
+        which verify passes over."""
+        outdir = tmp_path / "run"
+        code, out = run(capsys, "explain-plan", CHAIN_DOMAIN, CHAIN_PROBLEM,
+                        "--scenario", "8", "--seed", "0", "--format", "records",
+                        "--out", outdir)
+        assert code == EXIT_OK and "clause role=repair " in out
+        records = tmp_path / "all.records"
+        records.write_text(out)
+        code, out = run(capsys, "verify", outdir / "kb_h.cnf", records,
+                        "--query", outdir / "query.txt", "--format", "records")
+        assert code == EXIT_OK
+        assert "verify entailed=true minimal=true consistent=true ok=true" in out
 
 
 @pytest.mark.parametrize("query_text, msg", [
@@ -519,6 +543,31 @@ class TestExplainPlanCommand:
                       "--scenario", "1", "--seed", "3", "--plan", plan)
         assert code == EXIT_PARSE
 
+    def test_plan_file_blank_comment_and_bare_lines(self, tmp_path, capsys):
+        """Blank lines and `;` comments are skipped; an action with no
+        arguments may be written bare."""
+        plan = tmp_path / "plan.txt"
+        plan.write_text("; the optimal plan\n\nset-p  ; first\n   \nFINISH\n")
+        code, out = run(capsys, "explain-plan", CHAIN_DOMAIN, CHAIN_PROBLEM,
+                        "--scenario", "1", "--seed", "0", "--plan", plan,
+                        "--format", "records")
+        assert code == EXIT_OK
+        assert "plan source=file length=2" in out
+        assert "step t=0 action=set-p" in out and "step t=1 action=finish" in out
+
+    @pytest.mark.parametrize("plan_text, message", [
+        ("()\n", "empty atom"),
+        ("stack(a,b\n", "malformed atom 'stack(a,b'"),
+    ])
+    def test_malformed_plan_atom(self, tmp_path, capsys, plan_text, message):
+        plan = tmp_path / "plan.txt"
+        plan.write_text(plan_text)
+        code = main(["explain-plan", BLOCKS, TWO_BLOCKS, "--scenario", "1",
+                     "--plan", str(plan)])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("plan_text", ["(fly a)\n", None])
     def test_plan_file_error(self, tmp_path, capsys, plan_text):
         """An unknown action and a missing plan file each end in one error
@@ -581,6 +630,19 @@ class TestEncodePlanCommand:
         assert (tmp_path / "enc.cnf.log").exists()
         map_lines = (tmp_path / "enc.cnf.map").read_text().splitlines()
         assert any(line.endswith("on(a,b)@2") for line in map_lines)
+
+    def test_no_actions_noted(self, tmp_path, capsys):
+        """A problem with no objects grounds no blocksworld action, so no
+        step gets an at-least-one clause, and each step says so."""
+        empty = tmp_path / "empty.pddl"
+        empty.write_text("(define (problem empty) (:domain blocksworld) (:objects)\n"
+                         "  (:init (arm-empty)) (:goal (arm-empty)))\n")
+        code, out = run(capsys, "encode-plan", BLOCKS, empty, "--horizon", "2",
+                        "--format", "records")
+        assert code == EXIT_OK
+        assert [l for l in out.splitlines() if l.startswith("note ")] == [
+            f"note msg=at-least-one omitted at step {t}: no actions" for t in range(2)
+        ]
 
 
 def test_parser_is_built_once_and_reused(worked, capsys):
@@ -717,3 +779,19 @@ def test_run_record_names_only_accepted_options(worked, monkeypatch, capsys, com
     kind, *fields = out.splitlines()[0].split()
     assert kind == "run"
     assert [field.split("=")[0] for field in fields] == _RUN_FIELDS[command]
+
+
+@pytest.mark.parametrize("timeout, shown", [
+    (None, "1500.000"),  # the default
+    ("0.25", "0.250"),
+    ("0.0004", "0.0004"),
+    ("1e-9", "1e-09"),
+])
+def test_run_record_keeps_the_time_limit(worked, capsys, timeout, shown):
+    """The `run` record's timeout keeps three decimals when they read back as
+    the limit, and is written in full when they would round it away."""
+    kb_a, kb_h, query = worked
+    flags = ("--timeout", timeout) if timeout else ()
+    _, out = run(capsys, "reconcile", kb_a, kb_h, "--query", query, *flags,
+                 "--format", "records")
+    assert out.splitlines()[0] == f"run command=reconcile seed=0 mode=general timeout={shown}"

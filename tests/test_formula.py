@@ -275,6 +275,7 @@ def test_dimacs_round_trip_random():
 def test_parse_literal_list_and_query_dispatch():
     q = parse_literal_list("1 -3\n2\n")
     assert q.clauses == ((1,), (-3,), (2,))
+    assert parse_literal_list("1 -3 0\n2 0\n").clauses == q.clauses  # a 0 token is skipped
     assert parse_query_text("p cnf 2 1\n1 2 0\n").clauses == ((1, 2),)
     assert parse_query_text("-4\n").clauses == ((-4,),)
     with pytest.raises(DegenerateQueryError):

@@ -362,6 +362,20 @@ class TestSearch:
             with pytest.raises(PlanningError, match="unknown action"):
                 parse_plan_text(text, problem)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"fluents": ("p", "p")}, "duplicate fluents"),
+        ({"init": ("q",)}, "initial state mentions unknown fluents"),
+        ({"goal": ("q",)}, "goal mentions unknown fluents"),
+        ({"add": ("q",)}, "action go mentions unknown fluents"),
+    ])
+    def test_problem_rejects_atoms_outside_its_universe(self, fields, message):
+        atoms = {key: tuple(map(GroundAtom, names)) for key, names in fields.items()}
+        action = GroundAction("go", add=frozenset(atoms.get("add", ())))
+        with pytest.raises(PlanningError, match=message):
+            PlanningProblem(atoms.get("fluents", (GroundAtom("p"),)), (action,),
+                            frozenset(atoms.get("init", ())),
+                            frozenset(atoms.get("goal", ())))
+
     def test_cached_label_leaves_identity_to_the_fields(self):
         a = GroundAction("stack", ("a", "b"))
         assert a.label == "stack(a,b)" and a.label is a.label
@@ -430,7 +444,7 @@ class TestEncoding:
         tweaked = tweak_model(problem, 1, seed=11, count=2)
         enc_h = encode_bounded(
             tweaked.problem, 2, include_goal=False,
-            fluent_order=enc_a.fluent_order, action_order=enc_a.action_order,
+            action_order=enc_a.action_order,
         )
         assert write_var_map(enc_h) == write_var_map(enc_a)
         # Scenario 1 only drops precondition clauses: KB_h ⊂ KB_a exactly
@@ -460,7 +474,7 @@ class TestEncoding:
         parsed = [l.split(" ", 1) for l in text.splitlines()]
         assert [int(v) for v, _ in parsed] == list(range(1, enc.cnf.num_vars + 1))
         named = {f"{f}@{t}": enc.fluent_var(f, t)
-                 for t in range(3) for f in enc.fluent_order}
+                 for t in range(3) for f in enc.problem.fluents}
         named.update({f"{a}@{t}": enc.action_var(a, t)
                       for t in range(2) for a in enc.action_order})
         assert {int(v): name for v, name in parsed} == {v: k for k, v in named.items()}
@@ -468,7 +482,7 @@ class TestEncoding:
     def test_numbering_rejects_steps_and_names_outside_the_encoding(self):
         problem = ground(parse_pddl(BLOCKS, SUSSMAN))
         enc = encode_bounded(problem, 3, include_goal=False)
-        atom, label = enc.fluent_order[0], enc.action_order[0]
+        atom, label = enc.problem.fluents[0], enc.action_order[0]
         assert enc.fluent_var(atom, 3) and enc.action_var(label, 2)
         for bad in (lambda: enc.fluent_var(atom, -1),
                     lambda: enc.fluent_var(atom, enc.horizon + 1),
@@ -483,11 +497,11 @@ class TestEncoding:
     def test_numbering_names_every_sussman_variable_once(self):
         problem = ground(parse_pddl(BLOCKS, SUSSMAN))
         enc = encode_bounded(problem, 3, include_goal=True)
-        fluents = [enc.fluent_var(f, t) for t in range(4) for f in enc.fluent_order]
+        fluents = [enc.fluent_var(f, t) for t in range(4) for f in enc.problem.fluents]
         actions = [enc.action_var(a, t) for t in range(3) for a in enc.action_order]
         assert sorted(fluents + actions) == list(range(1, enc.cnf.num_vars + 1))
         assert [enc.name_of(v) for v in fluents] == [
-            f"{f}@{t}" for t in range(4) for f in enc.fluent_order]
+            f"{f}@{t}" for t in range(4) for f in enc.problem.fluents]
         assert [enc.name_of(v) for v in actions] == [
             f"{a}@{t}" for t in range(3) for a in enc.action_order]
         assert enc.name_of(0) == "aux0"
@@ -596,7 +610,7 @@ class TestFeasibility:
         empty = tweak_model(problem, 8, seed=0, count=2)
         enc_h = encode_bounded(
             empty.problem, 2, include_goal=False,
-            fluent_order=enc_a.fluent_order, action_order=enc_a.action_order,
+            action_order=enc_a.action_order,
         )
         res = check_feasibility(enc_h, plan, reference=enc_a)
         assert not res.feasible
@@ -614,7 +628,7 @@ class TestFeasibility:
         empty = tweak_model(problem, 8, seed=0, count=2)
         enc_h = encode_bounded(
             empty.problem, 2, include_goal=False,
-            fluent_order=enc_a.fluent_order, action_order=enc_a.action_order,
+            action_order=enc_a.action_order,
         )
         bare = tuple(GroundAction(a.name, a.args) for a in plan)
         res = check_feasibility(enc_h, bare, reference=enc_a)
@@ -663,7 +677,7 @@ def test_simulated_feasibility_matches_the_sat_check(domain, task):
                 tweaked = tweak_model(problem, scenario, seed, count=count).problem
                 enc_h = encode_bounded(
                     tweaked, len(plan), include_goal=False,
-                    fluent_order=enc_a.fluent_order, action_order=enc_a.action_order,
+                    action_order=enc_a.action_order,
                 )
                 have = enc_h.cnf.clause_set()
                 for steps in _same_length_plans(problem, plan, rng, 3):
@@ -694,7 +708,6 @@ def test_encoding_clauses_are_normal(sussman, scenario):
         for include_goal in (False, True):
             cnf = encode_bounded(
                 problem, n, include_goal,
-                fluent_order=sussman.fluents,
                 action_order=tuple(a.label for a in sussman.actions),
             ).cnf
             assert all(normalize_clause(c) == c for c in cnf.clauses)
