@@ -116,8 +116,10 @@ def preprocess_consistency(
     """Restore mutual consistency by removing a minimal correction set of
     kb_h-only clauses.  Returns (kb_h clauses kept, clauses removed).
 
-    num_vars must cover both KBs' variables.  kb_a must be satisfiable
-    (checked by the caller).  Every solve draws on the budget."""
+    num_vars must cover both KBs' variables.  When kb_h adds no clause to
+    kb_a, no solve is made, so an unsatisfiable kb_a goes unnoticed; else
+    an unsatisfiable kb_a raises PremiseError.  Every solve draws on the
+    budget."""
     in_a = kb_a.clause_set()
     diff = [c for c in kb_h.clauses if c not in in_a]
     if not diff:
@@ -125,7 +127,10 @@ def preprocess_consistency(
     ws = workspace(num_vars, kb_a.clauses, diff, budget=budget)
     if ws.solve_ids(range(len(diff))).satisfiable:
         return kb_h.clauses, ()
-    removed = {diff[i] for i in extract_mcs(ws).ids}
+    mcs = extract_mcs(ws)
+    if mcs is None:
+        raise PremiseError("kb_a is unsatisfiable")
+    removed = {diff[i] for i in mcs.ids}
     kept = tuple(c for c in kb_h.clauses if c not in removed)
     return kept, tuple(sorted(removed))
 

@@ -13,9 +13,11 @@ session histories produce identical answers, models, and conflict subsets.
 The session owns an assumption stack, bottom first, and each entry takes one
 decision level, in stack order (Een & Sorensson, "An Extensible SAT-solver",
 SAT 2003; Nadel & Ryvchin, "Efficient SAT Solving under Assumptions", SAT
-2012).  push_ids checks each soft clause position once, when it is pushed,
-and raises before the stack changes; pop drops entries and backtracks below
-the levels it drops; solve(None) solves under the stack as it stands.  Trail
+2012).  push_ids checks each soft clause position for range once, when it is
+pushed, and raises before the stack changes; pop drops entries and
+backtracks below the levels it drops; solve(None) solves under the stack as
+it stands.  The stack is a list and may repeat an entry: the repeat is one
+more level, already true and so empty, whichever way it was pushed.  Trail
 levels 1..k hold the stack's first k entries, for k the smaller of the
 trail's level count and the stack's length; a level above the stack is a
 decision that the last answer left, and a push backtracks over those before
@@ -24,11 +26,11 @@ next solve keeps the stack's levels and opens levels only for the entries
 pushed since (van der Tak, Ramos & Heule, "Reusing the Assignment Trail in
 CDCL Solvers", JSAT 2011).  solve(assumptions) is prefix matching on top of
 the stack: it keeps the longest prefix of the stack's levels whose entries
-it still assumes, pops the rest and pushes the remaining literals in the
-order the caller lists them; only the pushed literals are checked.  So a
-caller that grows one assumption set pays one level per new literal, not one
-per literal.  A conflict reached while the trail holds only assumption levels
-is learnt and backjumped over as usual, and then answers UNSAT at once: the
+it still assumes, checks the remaining literals, pops the rest and pushes
+those literals in the order the caller lists them.  So a caller that grows
+one assumption set pays one level per new literal, not one per literal.  A
+conflict reached while the trail holds only assumption levels is learnt and
+backjumped over as usual, and then answers UNSAT at once: the
 assumptions that propagation used to reach it are the conflict subset, and
 the learnt clause's asserting literal waits on the trail for the next solve
 to propagate.  So a caller that pushes the literal it tests last keeps, when
@@ -129,7 +131,7 @@ class SatSession:
 
     def __init__(self, num_vars: int, budget: Budget | None = None):
         # CPython 3.11 keeps at most 29 instance attributes inline, and a
-        # 30th slows every attribute access of the session; it holds 28.
+        # 30th slows every attribute access of the session; it holds 27.
         # Per-variable arrays, entry 0 unused, one entry per problem
         # variable and selector; _assign holds +1 true, -1 false, 0
         # unassigned.
@@ -154,9 +156,8 @@ class SatSession:
         self._n_problem_clauses = 0
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
-        # The assumption stack, bottom first, and the set of its literals.
+        # The assumption stack, bottom first.
         self._assumed: list[int] = []
-        self._on_stack: set[int] = set()
         self._qhead = 0
         self._var_inc = 1.0
         self._ok = True
@@ -217,18 +218,9 @@ class SatSession:
 
     def push_ids(self, ids: Iterable[int]) -> None:
         """Push the selectors of the soft clauses at these positions onto
-        the assumption stack, in order.  A position out of range or already
-        on the stack is a usage error, raised before the stack changes."""
+        the assumption stack, in order.  A position out of range is a usage
+        error, raised before the stack changes."""
         selectors = self._selectors(ids)
-        on = self._on_stack
-        size = len(on)
-        on.update(selectors)
-        if len(on) - size < len(selectors):  # a position twice, or pushed before
-            self._on_stack = set(self._assumed)
-            seen = set(self._on_stack)
-            bad = next(x for x in selectors if x in seen or seen.add(x))
-            raise SolverUsageError(
-                f"soft clause id {bad - self.num_vars - 1} is pushed twice")
         self._backtrack(len(self._assumed))
         self._assumed += selectors
 
@@ -239,7 +231,6 @@ class SatSession:
         n = len(stack) - k
         if k < 0 or n < 0:
             raise SolverUsageError(f"cannot pop {k} of {len(stack)} assumptions")
-        self._on_stack.difference_update(stack[n:])
         del stack[n:]
         self._backtrack(n)
 
@@ -570,28 +561,22 @@ class SatSession:
         """Make the stack hold the assumption literals, matching a prefix of
         its first depth entries, the levels the trail still holds.  The
         literals it pushes are checked first, so a bad one raises before the
-        stack changes.  Returns the smallest literal whose complement is
-        also assumed, or 0."""
+        pop that drops the unmatched entries.  Returns the smallest literal
+        whose complement is also assumed, or 0."""
         assumps = list(assumptions)
-        aset = set(assumps)  # also the stack's literals once this returns
-        if len(aset) < len(assumps):
-            assumps = list(dict.fromkeys(assumps))
+        aset = set(assumps)
         stack = self._assumed
         k = 0
         while k < depth and stack[k] in aset:
             k += 1
-        rest = assumps
-        if k:
-            kept = set(stack[:k])
-            rest = [a for a in assumps if a not in kept]
+        kept = set(stack[:k])
+        rest = [a for a in assumps if a not in kept]
         nvars = len(self._assign) - 1
         if rest and (min(rest) < -nvars or max(rest) > nvars or 0 in rest):
             bad = next(a for a in rest if a == 0 or abs(a) > nvars)
             raise SolverUsageError(f"assumption {bad} references an unregistered variable")
-        del stack[k:]
+        self.pop(len(stack) - k)
         stack += rest
-        self._on_stack = aset
-        self._backtrack(k)
         # the kept prefix is clash-free: its literals are true on the trail
         if aset.isdisjoint(map(neg, rest)):
             return 0
@@ -673,7 +658,7 @@ class SatSession:
                 if v == 0:
                     model = tuple(map((1).__eq__, assign))
                     if check_models:
-                        self._audit(model, self._on_stack)
+                        self._audit(model, set(self._assumed))
                     return SolveResult(True, model=model)
                 self.decisions += 1
                 lit = v if phase[v] else -v

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import mrex
 import mrex.minsets as minsets_module
 from mrex.formula import CnfFormula
 from mrex.minsets import Budget
@@ -249,6 +250,21 @@ class TestPreprocessing:
         assert set(removed) == {(-1,), (-2,)}
         assert kept == ((3,),)
         assert tt_satisfiable(list(kb_a.clauses) + list(kept), 3)
+
+    def test_unsatisfiable_kb_a_raises_once_kb_h_adds_a_clause(self):
+        """The MCS seed solve finds kb_a unsatisfiable: a PremiseError after
+        the two solves the repair makes anyway.  When kb_h adds nothing,
+        no solve is made and kb_h comes back whole."""
+        kb_a = mrex.CnfFormula.from_clauses([(1,), (-1,)], 2)
+        budget = mrex.Budget(None)
+        with pytest.raises(mrex.PremiseError, match="kb_a is unsatisfiable"):
+            mrex.preprocess_consistency(
+                kb_a, mrex.CnfFormula.from_clauses([(1,), (2,)], 2), 2, budget)
+        assert budget.calls == 2
+        budget = mrex.Budget(None)
+        kb_h = mrex.CnfFormula.from_clauses([(-1,)], 2)
+        assert mrex.preprocess_consistency(kb_a, kb_h, 2, budget) == (kb_h.clauses, ())
+        assert budget.calls == 0
 
 
 class TestRandomAgreement:

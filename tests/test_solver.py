@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import random
@@ -497,12 +498,12 @@ def test_a_solve_keeps_the_assumption_levels_still_assumed():
 
 
 def _stack_state(s: SatSession) -> tuple:
-    return (list(s._assumed), set(s._on_stack), list(s._trail), list(s._trail_lim))
+    return (list(s._assumed), list(s._trail), list(s._trail_lim))
 
 
 def test_push_ids_checks_a_batch_before_the_stack_changes():
-    """A position out of range or pushed twice anywhere in a batch raises,
-    and the stack, its set and the trail stay as they were."""
+    """A position out of range anywhere in a batch raises, and the stack
+    and the trail stay as they were."""
     s = SatSession(3)
     s.add_hard((1, 2))
     for c in ((1,), (2,), (3,)):
@@ -510,12 +511,31 @@ def test_push_ids_checks_a_batch_before_the_stack_changes():
     s.push_ids([0])
     assert s.solve(None).satisfiable
     before = _stack_state(s)
-    for batch, bad in (([1, 3], "3"), ([1, -1], "-1"), ([2, 0], "0"), ([1, 2, 1], "1")):
+    for batch, bad in (([1, 3], "3"), ([1, -1], "-1")):
         with pytest.raises(SolverUsageError, match=f"soft clause id {bad} "):
             s.push_ids(batch)
         assert _stack_state(s) == before
     s.push_ids([1, 2])
     assert s._assumed == [4, 5, 6]
+
+
+def test_a_list_solve_that_fails_its_literal_check_leaves_the_session_as_it_was():
+    """The literals a list solve would push are checked before the pop of
+    the entries it does not keep: a bad one raises with the stack and the
+    trail as they were, and the next solve under the stack opens no level."""
+    s = SatSession(3)
+    s.add_hard((1, 2))
+    for c in ((1,), (2,), (3,)):
+        s.add_soft(c)
+    s.push_ids([0, 1])
+    assert s.solve(None).satisfiable
+    before = _stack_state(s)
+    with pytest.raises(SolverUsageError, match="assumption 99 "):
+        s.solve([4, 99])  # would keep 4 and pop 5
+    assert _stack_state(s) == before
+    levels = s.assumption_levels
+    assert s.solve(None).satisfiable
+    assert s.assumption_levels == levels
 
 
 def test_pop_beyond_the_stack_raises():
@@ -701,6 +721,77 @@ def test_reused_assumption_levels_keep_answers_sound(monkeypatch):
     assert answers >= 2000 and unsat >= 500 and clashes >= 150
     assert stopped >= 30 and reused >= 800 and len(reductions) >= 25
     assert stack_answers >= 600 and pushes_after_stop >= 30
+
+
+def test_repeated_assumptions_answer_soundly_on_both_paths():
+    """Random sessions push batches that repeat a position or re-push one
+    already on the stack, and solve lists that repeat a literal.  Each step
+    runs on a copy of the session too, without the repeats.  A repeat is
+    one more stack entry and nothing else: both copies give the same
+    answer, with the same conflicts and decisions, and a SAT answer found
+    without a conflict opens one more level per extra entry, an empty one.
+    Every answer agrees with the truth table; every conflict subset is a
+    subset of the assumptions and unsatisfiable on its own."""
+    rng = random.Random(31)
+    answers = unsat = pushed_repeats = listed_repeats = empty_levels = 0
+    for _ in range(40):
+        n = rng.randint(8, 10)
+        s = SatSession(n)
+        hard = [_clause3(rng, n) for _ in range(3 * n)]
+        for c in hard:
+            s.add_hard(c)
+        sels = [s.add_soft(_clause3(rng, n)) for _ in range(2 * n)]
+        clause_of = dict(zip(sels, s.soft))
+
+        def clauses(lits):
+            return hard + [clause_of[x] if x > n else (x,) for x in lits]
+
+        for _ in range(25):
+            if rng.random() < 0.3:
+                s.pop(rng.randint(0, len(s._assumed)))
+            twin = copy.deepcopy(s)
+            if rng.random() < 0.5:
+                batch = rng.sample(sels, rng.randint(1, 3))
+                on_stack = [x for x in s._assumed if x > n]
+                batch.insert(rng.randint(0, len(batch)), rng.choice(batch + on_stack))
+                ids = [x - n - 1 for x in batch]
+                s.push_ids(ids)
+                twin.push_ids([i for i in dict.fromkeys(ids)
+                               if i + n + 1 not in twin._assumed])
+                pushed_repeats += len(s._assumed) - len(twin._assumed)
+                lits = None
+            else:
+                lits = rng.sample(sels, rng.randint(1, 4))
+                lits += [rng.choice((1, -1)) * v for v in rng.sample(range(1, n + 1), 2)]
+                lits.insert(rng.randint(0, len(lits)), rng.choice(lits))
+            counters = (s.conflicts, s.decisions, s.assumption_levels)
+            twin_counters = (twin.conflicts, twin.decisions, twin.assumption_levels)
+            res = s.solve(lits)
+            twin_res = twin.solve(None if lits is None else list(dict.fromkeys(lits)))
+            extra = len(s._assumed) - len(twin._assumed)
+            if lits is not None:
+                listed_repeats += extra
+            assert res == twin_res
+            opened = s.assumption_levels - counters[2]
+            twin_opened = twin.assumption_levels - twin_counters[2]
+            assert s.conflicts - counters[0] == twin.conflicts - twin_counters[0]
+            assert s.decisions - counters[1] == twin.decisions - twin_counters[1]
+            assumed = set(s._assumed)
+            answers += 1
+            assert res.satisfiable == tt_satisfiable(clauses(assumed), n)
+            if not res.satisfiable:
+                unsat += 1
+                assert res.conflict_subset <= assumed
+                assert not tt_satisfiable(clauses(res.conflict_subset), n)
+            elif s.conflicts == counters[0]:
+                assert opened == twin_opened + extra
+                lim = s._trail_lim + [len(s._trail)]
+                for j, x in enumerate(s._assumed):
+                    if x in s._assumed[:j]:
+                        assert lim[j] == lim[j + 1]  # level j + 1 is empty
+                        empty_levels += 1
+    assert answers == 1000 and unsat >= 250
+    assert pushed_repeats >= 500 and listed_repeats >= 300 and empty_levels >= 800
 
 
 def test_conflicts_under_assumptions_end_solves_soundly(monkeypatch):
