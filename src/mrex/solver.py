@@ -35,9 +35,11 @@ assumptions that propagation used to reach it are the conflict subset, and
 the learnt clause's asserting literal waits on the trail for the next solve
 to propagate.  So a caller that pushes the literal it tests last keeps, when
 the test fails, every level up to the backjump.  One walk over a clause's
-literals both checks and loads it, so a malformed clause raises before the
-session changes.  Adding a clause, and reducing the learnt clauses, start
-from level 0.
+literals both checks and loads it: a literal passes when its variable lies
+above the previous literal's and within num_vars, and a clause out of
+variable order, or malformed, gets the full per-literal check, which
+accepts it or raises before the session changes.  Adding a clause, and
+reducing the learnt clauses, start from level 0.
 
 Each decision branches on the unassigned problem variable of largest VSIDS
 activity, the smallest variable among ties.  Selectors are never decided
@@ -117,6 +119,24 @@ def _luby(i: int) -> int:
         while (1 << (k + 1)) - 1 <= i:
             k += 1
     return 1 << (k - 1)
+
+
+def _check_clause(lits: tuple[int, ...], nvars: int) -> None:
+    """Raise SolverUsageError on the first literal of lits, in clause
+    order, that is not a nonzero int, names a variable above nvars, or
+    repeats or negates an earlier literal."""
+    seen: set[int] = set()
+    for l in lits:
+        if not isinstance(l, int) or l == 0:
+            raise SolverUsageError(f"bad literal {l!r}")
+        if (l if l > 0 else -l) > nvars:
+            raise SolverUsageError(
+                f"literal {l} is beyond the session's {nvars} variables")
+        if -l in seen:
+            raise SolverUsageError(f"tautological clause {lits}")
+        if l in seen:
+            raise SolverUsageError(f"duplicate literal in clause {lits}")
+        seen.add(l)
 
 
 class SatSession:
@@ -242,8 +262,11 @@ class SatSession:
     def fixed(self, lit: int) -> bool:
         """Whether lit is assigned true at level 0, where only the hard
         clauses and the learnt clauses they entail assign: then every
-        model of the hard clauses makes lit true."""
+        model of the hard clauses makes lit true.  A literal of no problem
+        variable or selector is a usage error."""
         v = lit if lit > 0 else -lit
+        if not 0 < v < len(self._assign):
+            raise SolverUsageError(f"literal {lit} references an unregistered variable")
         a = self._assign[v]
         return a != 0 and self._level[v] == 0 and (a == 1) == (lit > 0)
 
@@ -263,27 +286,29 @@ class SatSession:
 
     def _load(self, lits: tuple[int, ...], soft: bool) -> int:
         """Check lits and add them at level 0, when soft behind a fresh
-        selector s as -s ∨ lits; returns s, or 0 when hard.  Each literal
-        is checked and read at the root, where a variable assigned above
-        level 0 counts as unassigned."""
+        selector s as -s ∨ lits; returns s, or 0 when hard.  An int literal
+        whose variable lies above the previous literal's and at most
+        num_vars passes with one chained comparison, which rules out 0,
+        repeats, tautologies and unknown variables at once; so a clause in
+        normal form (sorted by variable, as CnfFormula holds it) costs one
+        test per literal.  The first literal that fails it sends the whole
+        clause to _check_clause, which raises or accepts it.  Each literal
+        is read at the root, where a variable assigned above level 0 counts
+        as unassigned."""
         assign = self._assign
         level = self._level
         nvars = self.num_vars
-        seen: set[int] = set()
         out: list[int] = []
         satisfied = False
+        prev = 0
         for l in lits:
-            if not isinstance(l, int) or l == 0:
-                raise SolverUsageError(f"bad literal {l!r}")
-            v = l if l > 0 else -l
-            if v > nvars:
-                raise SolverUsageError(
-                    f"literal {l} is beyond the session's {nvars} variables")
-            if -l in seen:
-                raise SolverUsageError(f"tautological clause {lits}")
-            if l in seen:
-                raise SolverUsageError(f"duplicate literal in clause {lits}")
-            seen.add(l)
+            if isinstance(l, int) and prev < (v := l if l > 0 else -l) <= nvars:
+                prev = v
+            elif prev <= nvars:
+                # out of variable order or malformed: the full check raises,
+                # or accepts the clause and no later literal is checked
+                _check_clause(lits, nvars)
+                prev = nvars + 1
             a = assign[v]
             if a == 0 or level[v] > 0:
                 out.append(l)

@@ -6,7 +6,7 @@ import pytest
 
 from mrex.backbone import UnsatisfiableError, compute_backbone
 from mrex.formula import CnfFormula
-from mrex.solver import SatSession
+from mrex.solver import SatSession, SolverUsageError
 
 from oracles import random_cnf, tt_backbone, tt_satisfiable
 
@@ -126,3 +126,13 @@ def test_fixed_reads_level_zero_only():
     t.add_hard((1, 2))
     assert t.solve([-1]).satisfiable
     assert not (t.fixed(-1) or t.fixed(2))  # true, but above level 0
+
+
+def test_fixed_rejects_a_literal_of_no_registered_variable():
+    s = SatSession(2)
+    s.add_hard((1,))
+    sel = s.add_soft(())  # an empty soft clause: -sel is fixed at the root
+    assert s.fixed(1) and s.fixed(-sel)
+    for lit in (0, sel + 1, -(sel + 1), 99):
+        with pytest.raises(SolverUsageError, match=f"literal {lit} references an unregistered variable"):
+            s.fixed(lit)
