@@ -48,6 +48,21 @@ def test_empty_clause_rejected_semantically():
     assert not s.solve().satisfiable
 
 
+def test_malformed_clauses_raise():
+    s = SatSession(2)
+    with pytest.raises(SolverUsageError):
+        s.add_hard((1, -1))
+    with pytest.raises(SolverUsageError):
+        s.add_hard((0,))
+    with pytest.raises(SolverUsageError):
+        s.add_hard((2, 2))
+
+
+def test_literal_beyond_num_vars_raises():
+    with pytest.raises(SolverUsageError, match="beyond"):
+        SatSession(2).add_hard((1, 7))
+
+
 def test_a_rejected_clause_leaves_the_session_unchanged():
     """A clause that fails the literal checks raises before the session
     changes: no selector, no soft clause, and the trail keeps the last
@@ -89,6 +104,9 @@ BAD_CLAUSES = [
     ((1, 2, 5), BEYOND.format(5)),
     ((3, 1, -5), BEYOND.format(-5)),
     ((6,), BEYOND.format(6)),
+    ((1, 7), BEYOND.format(7)),
+    ((2, 2), "duplicate literal in clause (2, 2)"),
+    ((1, -1), "tautological clause (1, -1)"),
     ((1, 2, 2), "duplicate literal in clause (1, 2, 2)"),
     ((3, 1, 3), "duplicate literal in clause (3, 1, 3)"),
     ((1, 2, -2), "tautological clause (1, 2, -2)"),
